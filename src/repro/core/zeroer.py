@@ -1,9 +1,9 @@
 """End-to-end ZeroER (Algorithm 2) plus the featurization shared with baselines.
 
 Pipeline: blocking (Spark joins) → Magellan-style features (mapInPandas) →
-mean-impute + min-max scale (Catalyst expressions) → joint EM over three
-linked models (cross T×T', left T×T, right T'×T') with transitivity posterior
-constraints resolved every E-step → pairs with γ > 0.5.
+impute at the minimum + min-max scale (Spark SQL expressions) → joint EM over
+three linked models (cross T×T', left T×T, right T'×T') with transitivity
+posterior constraints resolved every E-step → pairs with γ > 0.5.
 """
 from __future__ import annotations
 

@@ -5,13 +5,20 @@ on its declared type (mirroring Magellan's type-driven feature factory); all
 features of one attribute share a *group id*, which is exactly the grouping
 ZeroER's block-diagonal covariance consumes (§3.1 of the paper).
 
-``compute_features`` evaluates the plan distributed with ``mapInPandas``:
-each Arrow batch tokenizes every distinct string once per attribute, then
-evaluates the group's kernels row-wise. Missing values on either side yield
-NaN (mean-imputed later by :mod:`repro.core.scaling`).
+``compute_features`` evaluates the plan distributed with ``mapInPandas``.
+Within each Arrow batch, every distinct value of an attribute is normalized
+and tokenized once, and every distinct *ordered* (l_value, r_value) pair is
+evaluated once: the group's kernels run on the pair and their row of values
+is reused by every repeat of it in the batch. The string kernels are the
+bit-parallel Levenshtein and the ``str.find`` Jaro of :mod:`repro.textsim.sim`.
+
+A missing value on either side yields NaN. Arrow turns the NaN that
+``mapInPandas`` yields into a Spark NULL, and :mod:`repro.core.scaling`
+imputes it at the feature's minimum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,113 +92,88 @@ def _is_missing(v) -> bool:
     return v is None or (isinstance(v, float) and math.isnan(v))
 
 
-def _prep_strings(col: pd.Series, need_qgrams: bool, need_words: bool):
-    """Per-batch preparation: normalize + tokenize each *distinct* value once."""
-    cache: dict = {}
-    out = []
-    for v in col:
-        if _is_missing(v):
-            out.append(None)
-            continue
-        got = cache.get(v)
-        if got is None:
+# Kernel per feature kind, applied to two prepared values: (normalized string,
+# 3-grams, word tokens) for string types, (digits, 3-grams) for phone, a
+# float for numeric.
+_STRING_KINDS = {
+    "exm": lambda l, r: sim.exact(l[0], r[0]),
+    "lev_sim": lambda l, r: sim.lev_sim(l[0], r[0]),
+    "jwn": lambda l, r: sim.jaro_winkler(l[0], r[0]),
+    "jac_qgm3": lambda l, r: sim.jaccard(l[1], r[1]),
+    "cos_qgm3": lambda l, r: sim.cosine(l[1], r[1]),
+    "dice_qgm3": lambda l, r: sim.dice(l[1], r[1]),
+    "ovl_qgm3": lambda l, r: sim.overlap_coeff(l[1], r[1]),
+    "jac_ws": lambda l, r: sim.jaccard(l[2], r[2]),
+    "cos_ws": lambda l, r: sim.cosine(l[2], r[2]),
+    "dice_ws": lambda l, r: sim.dice(l[2], r[2]),
+    "ovl_ws": lambda l, r: sim.overlap_coeff(l[2], r[2]),
+}
+_PHONE_KINDS = {
+    "exm_dig": lambda l, r: sim.exact(l[0], r[0]),
+    "jac_qgm3_dig": lambda l, r: sim.jaccard(l[1], r[1]),
+    "lev_dig": lambda l, r: sim.lev_sim(l[0], r[0]),
+}
+_NUMERIC_KINDS = {
+    "exm_num": lambda l, r: 1.0 if l == r else 0.0,
+    "rel_sim": sim.rel_sim,
+}
+
+
+def _preparer(kinds: list[str], attr_type: str):
+    """Value → prepared value for ``attr_type``; each distinct value once."""
+    if attr_type == "phone":
+        def prep(v):
+            d = tokenize.digits(v)
+            return d, tokenize.qgrams(d)
+    else:
+        need_q = any("qgm" in k for k in kinds)
+        need_w = any(k.endswith("_ws") for k in kinds)
+
+        def prep(v):
             s = tokenize.normalize(v)
-            got = (
+            return (
                 s,
-                tokenize.qgrams(s) if need_qgrams else None,
-                tokenize.word_tokens(s) if need_words else None,
+                tokenize.qgrams(s) if need_q else None,
+                tokenize.word_tokens(s) if need_w else None,
             )
-            cache[v] = got
-        out.append(got)
-    return out
 
-
-def _eval_string_kind(kind: str, lp, rp) -> float:
-    ls, lq, lw = lp
-    rs, rq, rw = rp
-    if kind == "exm":
-        return sim.exact(ls, rs)
-    if kind == "lev_sim":
-        return sim.lev_sim(ls, rs)
-    if kind == "jwn":
-        return sim.jaro_winkler(ls, rs)
-    if kind == "jac_qgm3":
-        return sim.jaccard(lq, rq)
-    if kind == "cos_qgm3":
-        return sim.cosine(lq, rq)
-    if kind == "dice_qgm3":
-        return sim.dice(lq, rq)
-    if kind == "ovl_qgm3":
-        return sim.overlap_coeff(lq, rq)
-    if kind == "jac_ws":
-        return sim.jaccard(lw, rw)
-    if kind == "cos_ws":
-        return sim.cosine(lw, rw)
-    if kind == "dice_ws":
-        return sim.dice(lw, rw)
-    if kind == "ovl_ws":
-        return sim.overlap_coeff(lw, rw)
-    raise ValueError(f"unknown string kind {kind!r}")
+    return functools.cache(prep)  # per batch: the caller drops it after
 
 
 def _eval_group(
     kinds: list[str], attr_type: str, lcol: pd.Series, rcol: pd.Series
-) -> dict[str, list[float]]:
+) -> dict[str, np.ndarray]:
     """Evaluate every kind of one attribute group over a batch; returns
-    kind → values (NaN where either side is missing)."""
-    n = len(lcol)
-    out: dict[str, list[float]] = {k: [math.nan] * n for k in kinds}
+    kind → float64 values (NaN where either side is missing).
+
+    Each distinct ordered (l_value, r_value) pair is evaluated once per batch
+    and its row of values shared by every repeat: low-cardinality attributes
+    (venue, year) repeat most of their pairs.
+    """
     if attr_type == "numeric":
-        lv = pd.to_numeric(lcol, errors="coerce").to_numpy(dtype=float)
-        rv = pd.to_numeric(rcol, errors="coerce").to_numpy(dtype=float)
-        for i in range(n):
-            if math.isnan(lv[i]) or math.isnan(rv[i]):
-                continue
-            for k in kinds:
-                if k == "exm_num":
-                    out[k][i] = 1.0 if lv[i] == rv[i] else 0.0
-                elif k == "rel_sim":
-                    out[k][i] = sim.rel_sim(lv[i], rv[i])
-        return out
-    if attr_type == "phone":
-        cache: dict = {}
-
-        def prep(v):
-            if _is_missing(v):
-                return None
-            got = cache.get(v)
-            if got is None:
-                d = tokenize.digits(v)
-                got = (d, tokenize.qgrams(d))
-                cache[v] = got
-            return got
-
-        lps = [prep(v) for v in lcol]
-        rps = [prep(v) for v in rcol]
-        for i in range(n):
-            lp, rp = lps[i], rps[i]
-            if lp is None or rp is None:
-                continue
-            for k in kinds:
-                if k == "exm_dig":
-                    out[k][i] = sim.exact(lp[0], rp[0])
-                elif k == "jac_qgm3_dig":
-                    out[k][i] = sim.jaccard(lp[1], rp[1])
-                elif k == "lev_dig":
-                    out[k][i] = sim.lev_sim(lp[0], rp[0])
-        return out
-    # string types
-    need_q = any("qgm" in k for k in kinds)
-    need_w = any(k.endswith("_ws") for k in kinds)
-    lps = _prep_strings(lcol, need_q, need_w)
-    rps = _prep_strings(rcol, need_q, need_w)
-    for i in range(n):
-        lp, rp = lps[i], rps[i]
-        if lp is None or rp is None:
+        table = _NUMERIC_KINDS
+        lvals = pd.to_numeric(lcol, errors="coerce").to_numpy(dtype=float).tolist()
+        rvals = pd.to_numeric(rcol, errors="coerce").to_numpy(dtype=float).tolist()
+        prep = float
+    else:
+        table = _PHONE_KINDS if attr_type == "phone" else _STRING_KINDS
+        lvals, rvals = lcol, rcol
+        prep = _preparer(kinds, attr_type)
+    fns = [table[k] for k in kinds]
+    missing = (math.nan,) * len(kinds)
+    memo: dict = {}
+    rows = []
+    for lv, rv in zip(lvals, rvals):
+        if _is_missing(lv) or _is_missing(rv):
+            rows.append(missing)
             continue
-        for k in kinds:
-            out[k][i] = _eval_string_kind(k, lp, rp)
-    return out
+        got = memo.get((lv, rv))
+        if got is None:
+            lp, rp = prep(lv), prep(rv)
+            got = memo[(lv, rv)] = tuple(f(lp, rp) for f in fns)
+        rows.append(got)
+    vals = np.array(rows, dtype=np.float64).reshape(len(rows), len(kinds))
+    return {k: vals[:, j] for j, k in enumerate(kinds)}
 
 
 def compute_features(
@@ -214,7 +196,7 @@ def compute_features(
                 kinds = [f.kind for f in feats]
                 vals = _eval_group(kinds, attr_types[attr], pdf[f"l_{attr}"], pdf[f"r_{attr}"])
                 for f in feats:
-                    cols[f.name] = np.asarray(vals[f.kind], dtype=np.float64)
+                    cols[f.name] = vals[f.kind]
             yield pd.DataFrame(cols)
 
     return pairs_attrs.mapInPandas(gen, schema=schema)

@@ -4,13 +4,12 @@ Conventions (match Magellan's behaviour closely enough for ZeroER):
 - set similarities of two empty sets are 1.0 (identical), one empty is 0.0;
 - string kernels operate on already-normalized strings;
 - missing values are handled one level up (a missing side yields NaN for the
-  whole feature, later mean-imputed) — kernels never see ``None``.
+  whole feature, later imputed at the feature's minimum by
+  :mod:`repro.core.scaling`) — kernels never see ``None``.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def exact(a: str, b: str) -> float:
@@ -59,12 +58,13 @@ _LEV_CAP = 64  # similarity on longer strings is carried by token features
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance, vectorized row DP; inputs truncated to 64 chars.
+    """Edit distance, bit-parallel; inputs truncated to 64 chars.
 
-    The row recurrence's left-to-right insertion dependency is resolved with
-    the prefix-minimum identity ``g[j] = min_{k≤j} f[k] + (j−k)`` computed as
-    ``np.minimum.accumulate(f − j) + j`` — ~10× faster than the pure-Python
-    DP, and this kernel dominates feature-generation time.
+    Myers' bit-vector algorithm in Hyyrö's formulation for the global
+    distance (Myers, JACM 1999; Hyyrö 2001): the longer string is the
+    pattern, one bit per position of a Python int, and each character of the
+    shorter string advances the whole DP column with a dozen word operations.
+    ``score`` tracks the last row of the column, which starts at ``len(a)``.
     """
     a, b = a[:_LEV_CAP], b[:_LEV_CAP]
     if a == b:
@@ -75,18 +75,30 @@ def levenshtein(a: str, b: str) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    bv = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    idx = np.arange(len(b) + 1)
-    prev = idx.copy()
-    f = np.empty_like(prev)
-    for i, ca in enumerate(a, 1):
-        cost = bv != ord(ca)
-        # f[j] = best of substitution/deletion (no insertion yet), f[0] fixed.
-        f[0] = i
-        f[1:] = np.minimum(prev[1:] + 1, prev[:-1] + cost)
-        # Fold insertions in: cur[j] = min_{k≤j} f[k] + (j − k).
-        prev = np.minimum.accumulate(f - idx) + idx
-    return int(prev[-1])
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of the DP is 0, 1, 2, …: every horizontal delta there is +1.
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (mask & ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 def lev_sim(a: str, b: str) -> float:
@@ -98,30 +110,33 @@ def lev_sim(a: str, b: str) -> float:
 
 
 def jaro(a: str, b: str) -> float:
-    """Jaro similarity."""
+    """Jaro similarity.
+
+    Each character of ``a`` takes the first not yet taken equal character of
+    ``b`` inside the match window; ``str.find`` scans the window in C.
+    """
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
     if not la or not lb:
         return 0.0
     window = max(la, lb) // 2 - 1
-    match_a = [False] * la
-    match_b = [False] * lb
-    matches = 0
+    taken = [False] * lb
+    a_matched = []
     for i, ca in enumerate(a):
-        lo, hi = max(0, i - window), min(lb, i + window + 1)
-        for j in range(lo, hi):
-            if not match_b[j] and b[j] == ca:
-                match_a[i] = match_b[j] = True
-                matches += 1
-                break
+        hi = i + window + 1
+        j = b.find(ca, i - window if i > window else 0, hi)
+        while j >= 0 and taken[j]:
+            j = b.find(ca, j + 1, hi)
+        if j >= 0:
+            taken[j] = True
+            a_matched.append(ca)
+    matches = len(a_matched)
     if matches == 0:
         return 0.0
     # transpositions: matched chars in order
-    bs = [b[j] for j in range(lb) if match_b[j]]
-    transpositions = sum(
-        1 for ca, cb in zip((a[i] for i in range(la) if match_a[i]), bs) if ca != cb
-    )
+    b_matched = [cb for cb, t in zip(b, taken) if t]
+    transpositions = sum(1 for ca, cb in zip(a_matched, b_matched) if ca != cb)
     t = transpositions / 2
     return (matches / la + matches / lb + (matches - t) / matches) / 3.0
 

@@ -16,6 +16,8 @@ from repro.textsim import (
     sim,
     tokenize,
 )
+from repro.textsim.features import _KINDS_BY_TYPE, _eval_group
+from tests.test_sim import ref_jaro, ref_levenshtein
 
 ATTRS = ["name", "phone", "price"]
 TYPES = {"name": "short_str", "phone": "phone", "price": "numeric"}
@@ -152,3 +154,94 @@ def test_features_on_real_dataset_separate_matches(spark, fz):
         .set_index("y")["avg_sim"]
     )
     assert stats[1.0] > stats[0.0] + 0.3
+
+
+# ------------------------------------------- per-row reference evaluation
+_SET_SIMS = {"jac": sim.jaccard, "cos": sim.cosine, "dice": sim.dice, "ovl": sim.overlap_coeff}
+_TOKENS = {"qgm3": tokenize.qgrams, "ws": tokenize.word_tokens}
+
+
+def _missing(v) -> bool:
+    return v is None or (isinstance(v, float) and math.isnan(v))
+
+
+def ref_value(kind: str, attr_type: str, lv, rv) -> float:
+    """One feature of one pair by direct kernel calls: no batch, no dedup."""
+    if _missing(lv) or _missing(rv):
+        return math.nan
+    if attr_type == "numeric":
+        a, b = float(lv), float(rv)
+        return (1.0 if a == b else 0.0) if kind == "exm_num" else sim.rel_sim(a, b)
+    if attr_type == "phone":
+        a, b = tokenize.digits(lv), tokenize.digits(rv)
+        if kind == "exm_dig":
+            return sim.exact(a, b)
+        if kind == "lev_dig":
+            return sim.lev_sim(a, b)
+        return sim.jaccard(tokenize.qgrams(a), tokenize.qgrams(b))
+    a, b = tokenize.normalize(lv), tokenize.normalize(rv)
+    if kind == "exm":
+        return sim.exact(a, b)
+    if kind == "lev_sim":
+        return sim.lev_sim(a, b)
+    if kind == "jwn":
+        return sim.jaro_winkler(a, b)
+    set_sim, tok = kind.split("_")
+    return _SET_SIMS[set_sim](_TOKENS[tok](a), _TOKENS[tok](b))
+
+
+@pytest.mark.parametrize(
+    "attr_type,values",
+    [
+        ("short_str", ["ritz carlton cafe", "Ritz-Carlton Cafe", "patina", "", None, math.nan]),
+        ("long_str", ["the quick brown fox", "quick brown the fox", "fox", None]),
+        ("phone", ["404/237-2700", "404-237-2700", "213/467-1108", "n/a", None]),
+        ("numeric", [10.0, 30.0, 0.0, -0.0, "12", "not a number", math.nan, None]),
+    ],
+)
+def test_eval_group_dedup_equals_per_row_kernels(attr_type, values):
+    """Repeated, swapped-order and missing value pairs in one batch give
+    exactly what per-row kernel calls give."""
+    kinds = _KINDS_BY_TYPE[attr_type]
+    base = [(a, b) for a in values for b in values]
+    rows = base + [(b, a) for a, b in base] + base[::3]
+    lcol = pd.Series([a for a, _ in rows], dtype=object)
+    rcol = pd.Series([b for _, b in rows], dtype=object)
+    got = _eval_group(kinds, attr_type, lcol, rcol)
+    if attr_type == "numeric":  # the batch coerces non-numbers to NaN
+        rows = [tuple(pd.to_numeric(pd.Series(p, dtype=object), errors="coerce")) for p in rows]
+    for k in kinds:
+        want = [ref_value(k, attr_type, a, b) for a, b in rows]
+        np.testing.assert_array_equal(got[k], np.asarray(want, dtype=np.float64), err_msg=k)
+
+
+@pytest.fixture(scope="module")
+def ds_small(spark):
+    from repro.erdata import dblp_scholar
+
+    return dblp_scholar(spark, scale=0.04)
+
+
+@pytest.mark.parametrize("name", ["fz", "ds_small"])
+def test_compute_features_equal_reference_kernels(spark, request, monkeypatch, name):
+    """Every feature of every cross pair equals per-row evaluation with the
+    naive Levenshtein DP and the index-loop Jaro, NULLs included."""
+    from repro.blocking import cross_block
+
+    ds = request.getfixturevalue(name)
+    plan = feature_plan(ds.attributes, ds.attr_types)
+    pairs = cross_block(ds.left, ds.right, ds.blocking_attr)
+    # Values do not depend on partitioning; two partitions keep the Python
+    # task count (about 80 ms each) low while still splitting the batches.
+    pa = pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes).coalesce(2).cache()
+    keys = ["l_id", "r_id"]
+    rows = pa.toPandas().sort_values(keys, ignore_index=True)
+    got = compute_features(pa, plan, ds.attr_types).toPandas().sort_values(keys, ignore_index=True)
+    pa.unpersist()
+    assert len(rows) > 0 and (got[keys].to_numpy() == rows[keys].to_numpy()).all()
+    monkeypatch.setattr(sim, "levenshtein", ref_levenshtein)
+    monkeypatch.setattr(sim, "jaro", ref_jaro)
+    for f in plan:
+        t = ds.attr_types[f.attr]
+        want = [ref_value(f.kind, t, lv, rv) for lv, rv in zip(rows[f"l_{f.attr}"], rows[f"r_{f.attr}"])]
+        np.testing.assert_array_equal(got[f.name].to_numpy(), np.asarray(want, dtype=np.float64), err_msg=f.name)

@@ -1,4 +1,4 @@
-"""Oracle + property tests for mean/min-max scaling (repro.core.scaling)."""
+"""Oracle + property tests for min-imputation + min-max scaling (repro.core.scaling)."""
 from __future__ import annotations
 
 import math
@@ -29,7 +29,6 @@ def test_fit_scaler_stats_ignore_nan(feat_df):
     sc = fit_scaler(feat_df, ["f1", "f2", "f3"])
     assert sc.min["f1"] == 0.0 and sc.max["f1"] == 1.0
     assert sc.min["f2"] == 2.0 and sc.max["f2"] == 10.0
-    assert sc.mean["f2"] == pytest.approx((2 + 4 + 6 + 8 + 10 + 4) / 6)
     assert sc.min["f3"] == sc.max["f3"] == 3.0
 
 
@@ -79,3 +78,35 @@ def test_all_missing_feature_is_constant_zero(spark):
     pdf = pd.DataFrame({"l_id": [0, 1], "r_id": [0, 1], "f": [math.nan, math.nan]})
     out = scale_features(spark.createDataFrame(pdf), ["f"]).toPandas()
     assert (out["f"] == 0.0).all()
+
+
+def _rows_df(spark, rows):
+    # From Python rows, NaN stays NaN and None becomes NULL.
+    return spark.createDataFrame(rows, "l_id long, f double, g double, h double")
+
+
+def test_null_and_nan_both_imputed_at_min(spark):
+    df = _rows_df(spark, [(0, 0.2, 1.0, None), (1, None, 1.0, math.nan),
+                          (2, math.nan, 1.0, None), (3, 0.6, None, math.nan),
+                          (4, 1.0, math.nan, None)])
+    assert tuple(df.selectExpr("count_if(isnan(f))", "count_if(f IS NULL)").first()) == (1, 1)
+    sc = fit_scaler(df, ["f", "g", "h"])
+    assert (sc.min["f"], sc.max["f"]) == (0.2, 1.0)
+    assert sc.min["g"] == sc.max["g"] == 1.0  # constant among present values
+    assert sc.min["h"] == sc.max["h"] == 0.0  # all missing: pinned
+    out = sc.transform(df).toPandas().sort_values("l_id")
+    assert out["f"].tolist() == [0.0, 0.0, 0.0, (0.6 - 0.2) / (1.0 - 0.2), 1.0]
+    assert out["g"].tolist() == [0.0] * 5
+    assert out["h"].tolist() == [0.0] * 5
+
+
+def test_scaled_values_bit_identical_to_numpy(spark):
+    """Statistics that need 17 significant digits survive the SQL literals."""
+    rng = np.random.default_rng(7)
+    digits = lambda v: len(repr(v).lstrip("-0.").replace(".", ""))  # noqa: E731
+    x = np.array([v for v in rng.uniform(0.1, 0.9, size=200).tolist() if digits(v) == 17][:40])
+    df = _rows_df(spark, [(i, v, -v, None) for i, v in enumerate(x.tolist())])
+    out = scale_features(df, ["f", "g"]).toPandas().sort_values("l_id")
+    for col, vals in (("f", x), ("g", -x)):
+        lo, hi = vals.min(), vals.max()
+        np.testing.assert_array_equal(out[col].to_numpy(), (vals - lo) / (hi - lo))

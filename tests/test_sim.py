@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from repro.textsim import sim
 
 WORDS = st.text(alphabet="abcdefghij ", min_size=0, max_size=30)
+# Up to 80 chars, so pairs cross the 64-char Levenshtein cap.
+LONG = st.text(alphabet="abcdefghij ", min_size=0, max_size=80)
+NON_ASCII = st.text(alphabet="aeéßø€中文😀 ", min_size=0, max_size=80)
 SETS = st.frozensets(st.sampled_from(list("abcdefghijklmnop")), max_size=12)
 
 
@@ -24,6 +27,34 @@ def ref_levenshtein(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def ref_jaro(a: str, b: str) -> float:
+    """Jaro with an index loop and match flags: the reference for sim.jaro."""
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return 0.0
+    window = max(la, lb) // 2 - 1
+    match_a = [False] * la
+    match_b = [False] * lb
+    matches = 0
+    for i, ca in enumerate(a):
+        lo, hi = max(0, i - window), min(lb, i + window + 1)
+        for j in range(lo, hi):
+            if not match_b[j] and b[j] == ca:
+                match_a[i] = match_b[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    bs = [b[j] for j in range(lb) if match_b[j]]
+    transpositions = sum(
+        1 for ca, cb in zip((a[i] for i in range(la) if match_a[i]), bs) if ca != cb
+    )
+    t = transpositions / 2
+    return (matches / la + matches / lb + (matches - t) / matches) / 3.0
 
 
 # ---------------------------------------------------------------- exact
@@ -100,9 +131,24 @@ def test_levenshtein_known(a, b, d):
     assert sim.levenshtein(a, b) == d
 
 
-@given(a=WORDS, b=WORDS)
+@given(a=LONG, b=LONG)
 def test_levenshtein_matches_reference(a, b):
     assert sim.levenshtein(a, b) == ref_levenshtein(a, b)
+
+
+@given(a=NON_ASCII, b=NON_ASCII)
+def test_levenshtein_matches_reference_non_ascii(a, b):
+    assert sim.levenshtein(a, b) == ref_levenshtein(a, b)
+
+
+@pytest.mark.parametrize("la", [63, 64, 65])
+@pytest.mark.parametrize("lb", [1, 63, 64, 65])
+def test_levenshtein_at_the_cap(la, lb):
+    # Periodic strings with different periods: the full 64-bit column is live.
+    a = ("abcdefg" * 10)[:la]
+    b = ("gfedcba" * 10)[:lb]
+    assert sim.levenshtein(a, b) == ref_levenshtein(a, b)
+    assert sim.levenshtein(a, a[:-1] + "z") == ref_levenshtein(a, a[:-1] + "z")
 
 
 @given(a=WORDS, b=WORDS)
@@ -153,6 +199,16 @@ def test_jaro_winkler_bounded_symmetric(a, b):
     v = sim.jaro_winkler(a, b)
     assert 0.0 <= v <= 1.0 + 1e-12
     assert sim.jaro_winkler(b, a) == pytest.approx(v)
+
+
+@given(a=LONG, b=LONG)
+def test_jaro_matches_reference(a, b):
+    assert sim.jaro(a, b) == ref_jaro(a, b)
+
+
+@given(a=NON_ASCII, b=NON_ASCII)
+def test_jaro_matches_reference_non_ascii(a, b):
+    assert sim.jaro(a, b) == ref_jaro(a, b)
 
 
 @given(a=WORDS)
