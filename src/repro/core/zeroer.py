@@ -1,9 +1,9 @@
 """End-to-end ZeroER (Algorithm 2) plus the featurization shared with baselines.
 
 Pipeline: blocking (Spark joins) → Magellan-style features (mapInPandas) →
-impute at the minimum + min-max scale (Spark SQL expressions) → joint EM over
-three linked models (cross T×T', left T×T, right T'×T') with transitivity
-posterior constraints resolved every E-step → pairs with γ > 0.5.
+impute at the minimum + min-max scale (Spark SQL expressions) → joint EM on
+the driver over three linked models (cross T×T', left T×T, right T'×T') with
+transitivity posterior constraints resolved every E-step → pairs with γ > 0.5.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.blocking import cross_block, self_block
 from repro.core import em as em_mod
 from repro.core import transitivity as trans_mod
-from repro.core.em import EMConfig, ModelParams, NumpyBackend, SparkBackend
+from repro.core.em import EMConfig, ModelParams, NumpyBackend
 from repro.core.scaling import scale_features
 from repro.erdata.generators import ERDataset
 from repro.textsim import compute_features, feature_columns, feature_plan, group_ids, pairs_with_attrs
@@ -102,45 +102,41 @@ class ZeroERResult:
     history: list[float]  # expected log-likelihood per iteration (all models)
 
 
-def _make_backend(df: DataFrame, cols: list[str], backend: str):
-    if backend == "numpy":
-        return NumpyBackend.from_spark(df, cols)
-    if backend == "spark":
-        return SparkBackend(df, cols)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 _STABLE_WINDOW = 10  # early stop when the cross match set is this long stable
 
 
 def _joint_em(
-    backends: dict[str, object],
+    backends: dict[str, NumpyBackend],
     groups: np.ndarray,
     config: EMConfig,
     use_transitivity: bool,
 ) -> tuple[dict[str, ModelParams], dict[str, dict], list[float], np.ndarray | None]:
     """Algorithm 2's loop over the linked models in ``backends``.
 
-    With ``use_transitivity=False`` (or a single "c" backend) this degrades to
-    Algorithm 1 run independently per model.
+    ``backends`` maps "c" (required), "l" and "r" to non-empty models. A
+    missing intra model is treated as blocked out: its closing pairs keep
+    γ = 0 under the transitivity constraints. With ``use_transitivity=False``
+    (or a single "c" backend) this degrades to Algorithm 1 run independently
+    per model.
 
     Transitivity projections can make the expected log-likelihood oscillate
     (a pair forced across components contributes a huge negative density
     term), so in addition to the paper's likelihood threshold we stop when
     the cross model's predicted match set has been stable for
-    ``_STABLE_WINDOW`` iterations; if the iteration cap is hit instead, the
-    returned cross posterior is the average of the last ``tail_average``
-    iterations' γ (§3.3's remedy — numpy backend only).
+    ``_STABLE_WINDOW`` iterations; if a match-set transition repeats (a
+    cycle) or the iteration cap is hit instead, the returned cross posterior
+    is the average of the last ``tail_average`` iterations' γ (§3.3's remedy).
     """
     R = {m: em_mod.shared_correlation(b, groups) for m, b in backends.items()}
     stats = {m: b.init_stats(config.eps_init) for m, b in backends.items()}
     overrides: dict[str, dict] = {m: {} for m in backends}
     history: list[float] = []
     params: dict[str, ModelParams] = {}
-    cross_np = isinstance(backends["c"], NumpyBackend)
     gamma_tail: deque[np.ndarray] = deque(maxlen=max(1, config.tail_average))
-    match_sets: deque[frozenset] = deque(maxlen=_STABLE_WINDOW)
-    seen_transitions: set[tuple[int, int]] = set()
+    # Cross match sets as the bytes of their sorted row indices: compared
+    # exactly, so a repeated transition is a real cycle, not a hash collision.
+    match_sets: deque[bytes] = deque(maxlen=_STABLE_WINDOW)
+    seen_transitions: set[tuple[bytes, bytes]] = set()
     tail_gamma: np.ndarray | None = None
     cycling = False
     for _ in range(config.max_iter):
@@ -159,11 +155,9 @@ def _joint_em(
                     logliks[k] = (float(r.logm), float(r.logu))
             need: dict[str, set] = {m: set() for m in backends}
             for con in constraints:
-                if con.c not in values:
+                if con.c[0] in need and con.c not in values:
                     need[con.c[0]].add((con.c[1], con.c[2]))
             for m, keys in need.items():
-                if not keys or m not in backends:
-                    continue
                 for k, (g, lm, lu) in backends[m].lookup(params[m], keys).items():
                     values[(m, k[0], k[1])] = g
                     logliks[(m, k[0], k[1])] = (lm, lu)
@@ -171,31 +165,30 @@ def _joint_em(
             overrides = trans_mod.split_by_model(adjusted)
         stats = {m: backends[m].suffstats(params[m], overrides.get(m)) for m in backends}
         history.append(sum(s.ell for s in stats.values()))
-        if cross_np:
-            gamma = backends["c"].posterior_vector(params["c"], overrides.get("c"))
-            gamma_tail.append(gamma)
-            match_sets.append(frozenset(np.flatnonzero(gamma > 0.5).tolist()))
+        gamma = backends["c"].posterior_vector(params["c"], overrides.get("c"))
+        gamma_tail.append(gamma)
+        match_sets.append(np.flatnonzero(gamma > 0.5).tobytes())
         if len(history) >= 2 and abs(history[-1] - history[-2]) < config.tol * (
             1.0 + abs(history[-2])
         ):
             break
         if len(match_sets) == _STABLE_WINDOW and len(set(match_sets)) == 1:
             break
-        if cross_np and len(match_sets) >= 2 and match_sets[-2] != match_sets[-1]:
+        if len(match_sets) >= 2 and match_sets[-2] != match_sets[-1]:
             # Transitivity projections can put EM into a limit cycle (the
             # likelihood never settles); once a match-set *flip* repeats,
             # further iterations replay the cycle — stop and average the γ
             # tail, as the paper does at the iteration cap. (Unchanged-set
             # steps are excluded: those are ordinary convergence, handled by
             # the stability check above.)
-            transition = (hash(match_sets[-2]), hash(match_sets[-1]))
+            transition = (match_sets[-2], match_sets[-1])
             if transition in seen_transitions:
                 cycling = True
                 break
             seen_transitions.add(transition)
     else:
         cycling = True  # hit the iteration cap without converging
-    if cycling and cross_np and gamma_tail:
+    if cycling:
         tail_gamma = np.mean(np.stack(gamma_tail), axis=0)
     return params, overrides, history, tail_gamma
 
@@ -226,50 +219,48 @@ def run_zeroer(
     *,
     config: EMConfig | None = None,
     transitivity: str = "constraint",  # "constraint" | "none" | "post"
-    backend: str = "numpy",
 ) -> ZeroERResult:
     """Run ZeroER on a featurized task and return γ>0.5 pairs as predictions.
 
     ``transitivity='constraint'`` is Algorithm 2 (requires ``task.left/right``),
     ``'none'`` is Algorithm 1, ``'post'`` is Algorithm 1 + duplicate-free
-    one-to-one post-processing (the Table 5 ablation).
+    one-to-one post-processing (the Table 5 ablation). A model without
+    candidate pairs is not fitted: an empty intra model leaves its pairs
+    blocked out (γ = 0), and an empty cross model yields no predictions.
     """
     config = config or EMConfig()
     use_constraint = transitivity == "constraint"
-    backends: dict[str, object] = {"c": _make_backend(task.cross, task.cols, backend)}
+    cb = NumpyBackend.from_spark(task.cross, task.cols)
+    backends = {"c": cb}
     if use_constraint:
         if task.left is None or task.right is None:
             raise ValueError("transitivity='constraint' needs featurize(include_intra=True)")
-        backends["l"] = _make_backend(task.left, task.cols, backend)
-        backends["r"] = _make_backend(task.right, task.cols, backend)
+        backends["l"] = NumpyBackend.from_spark(task.left, task.cols)
+        backends["r"] = NumpyBackend.from_spark(task.right, task.cols)
+    backends = {m: b for m, b in backends.items() if b.n}
 
-    params, overrides, history, tail_gamma = _joint_em(
-        backends, task.groups, config, use_constraint
-    )
-
-    cb = backends["c"]
-    if isinstance(cb, NumpyBackend):
+    gamma = np.zeros(0)
+    history: list[float] = []
+    if cb.n:
+        params, overrides, history, tail_gamma = _joint_em(
+            backends, task.groups, config, use_constraint
+        )
         gamma = (
             tail_gamma
             if tail_gamma is not None
             else cb.posterior_vector(params["c"], overrides.get("c"))
         )
-        post = cb.posteriors_pdf(gamma)
-    else:
-        post = cb.posteriors_df(params["c"], overrides.get("c")).toPandas()
-        for b in backends.values():
-            b.unpersist()
+    post = cb.posteriors_pdf(gamma)
     if transitivity == "post":
         post = _postprocess_one_to_one(post)
     pred_pdf = post[post["gamma"] > 0.5][["l_id", "r_id"]]
     predictions = spark.createDataFrame(
         pred_pdf.astype("int64"), schema="l_id long, r_id long"
     )
-    n_candidates = len(post) if transitivity != "post" else backends["c"].n
     return ZeroERResult(
         predictions=predictions,
         posteriors=post,
-        n_candidates=int(n_candidates),
+        n_candidates=cb.n,
         n_iterations=len(history),
         history=history,
     )

@@ -31,7 +31,7 @@ def task_fz(spark, fz):
 
 @pytest.fixture(scope="session")
 def task_ds(spark, ds_dirty):
-    """Featurized small DS, cross only (for backend/baseline tests)."""
+    """Featurized small DS, cross only (for baseline tests)."""
     from repro.core.zeroer import featurize
 
     return featurize(spark, ds_dirty, include_intra=False)

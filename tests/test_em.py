@@ -1,23 +1,22 @@
-"""Tests for the EM engine: parameter estimation, both backends, recovery."""
+"""Tests for the EM engine: parameter estimation, the numpy backend, recovery,
+and single-model runs of the joint EM loop on degenerate inputs."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import em as em_mod
 from repro.core.em import (
     EMConfig,
     NumpyBackend,
-    SparkBackend,
     apply_overrides,
     build_params,
     class_logliks,
-    fit_em,
     gammas,
     shared_correlation,
     stats_from_gamma,
 )
+from repro.core.zeroer import _joint_em
 from repro.oracle import assert_equivalent
 
 
@@ -34,6 +33,12 @@ def synthetic_mixture(n=2000, d=4, pi=0.05, seed=0):
 
 
 GROUPS2 = np.array([0, 0, 1, 1])
+
+
+def fit_one(be: NumpyBackend, config: EMConfig, groups=GROUPS2):
+    """Algorithm 1 on one model: the joint EM loop with only a cross model."""
+    params, _, history, tail_gamma = _joint_em({"c": be}, groups, config, False)
+    return params["c"], history, tail_gamma
 
 
 def test_stats_from_gamma_moments():
@@ -117,7 +122,7 @@ def test_apply_overrides_vectorized_matches_naive():
 def test_numpy_backend_em_recovers_mixture():
     ids, X, y = synthetic_mixture()
     be = NumpyBackend(ids, X)
-    params, hist = fit_em(be, GROUPS2, EMConfig())
+    params, hist, _ = fit_one(be, EMConfig())
     gamma = be.posterior_vector(params)
     pred = gamma > 0.5
     assert (pred == (y == 1)).mean() > 0.995
@@ -136,7 +141,7 @@ def test_numpy_backend_init_stats_eps():
 def test_numpy_backend_match_candidates_and_lookup():
     ids, X, y = synthetic_mixture(n=500)
     be = NumpyBackend(ids, X)
-    params, _ = fit_em(be, GROUPS2, EMConfig())
+    params, _, _ = fit_one(be, EMConfig())
     mc = be.match_candidates(params)
     assert set(mc.columns) == {"l_id", "r_id", "gamma", "logm", "logu"}
     assert (mc.gamma >= 0.5).all()
@@ -158,70 +163,11 @@ def test_shared_correlation_identity_for_independent_groups():
     assert np.abs(off).max() < 0.1
 
 
-# --------------------------------------------------------- Spark backend
-
-@pytest.fixture(scope="module")
-def spark_feat(spark):
-    ids, X, y = synthetic_mixture(n=800, seed=7)
-    pdf = pd.DataFrame(X, columns=[f"f{i}" for i in range(4)])
-    pdf.insert(0, "r_id", ids[:, 1])
-    pdf.insert(0, "l_id", ids[:, 0])
-    return spark.createDataFrame(pdf), [f"f{i}" for i in range(4)], ids, X
-
-
-def test_spark_backend_equals_numpy_backend(spark, spark_feat):
-    """The distributed backend must reproduce the numpy backend exactly
-    (same init stats, same correlation, same per-iteration parameters)."""
-    df, cols, ids, X = spark_feat
-    nb = NumpyBackend(ids, X)
-    sb = SparkBackend(df, cols)
-    config = EMConfig(max_iter=3)
-    assert sb.n == nb.n and sb.d == nb.d
-
-    s_np = nb.init_stats(0.5)
-    s_sp = sb.init_stats(0.5)
-    assert s_sp.n_m == pytest.approx(s_np.n_m)
-    np.testing.assert_allclose(s_sp.s1_m, s_np.s1_m, rtol=1e-9)
-    np.testing.assert_allclose(s_sp.s2_u, s_np.s2_u, rtol=1e-9)
-
-    R_np = shared_correlation(nb, GROUPS2)
-    R_sp = shared_correlation(sb, GROUPS2)
-    np.testing.assert_allclose(R_sp, R_np, atol=1e-9)
-
-    p_np, _ = fit_em(nb, GROUPS2, config)
-    p_sp, _ = fit_em(sb, GROUPS2, config)
-    np.testing.assert_allclose(p_sp.mu_m, p_np.mu_m, atol=1e-8)
-    np.testing.assert_allclose(p_sp.Sigma_u, p_np.Sigma_u, atol=1e-8)
-    assert p_sp.pi_m == pytest.approx(p_np.pi_m, rel=1e-6)
-
-    post_np = nb.posterior_vector(p_np)
-    post_sp = sb.posteriors_df(p_sp).toPandas().sort_values("l_id")["gamma"].to_numpy()
-    np.testing.assert_allclose(post_sp, post_np, atol=1e-8)
-    sb.unpersist()
-
-
-def test_spark_backend_match_candidates_and_lookup(spark, spark_feat):
-    df, cols, ids, X = spark_feat
-    nb = NumpyBackend(ids, X)
-    sb = SparkBackend(df, cols)
-    params, _ = fit_em(nb, GROUPS2, EMConfig(max_iter=3))
-    mc_np = nb.match_candidates(params).sort_values(["l_id", "r_id"]).reset_index(drop=True)
-    mc_sp = sb.match_candidates(params).sort_values(["l_id", "r_id"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(mc_np, mc_sp, check_exact=False, atol=1e-8)
-    keys = {(int(r.l_id), int(r.r_id)) for r in mc_np.head(4).itertuples()}
-    lk_np = nb.lookup(params, keys)
-    lk_sp = sb.lookup(params, keys)
-    assert set(lk_np) == set(lk_sp)
-    for k in keys:
-        np.testing.assert_allclose(lk_sp[k], lk_np[k], atol=1e-8)
-    sb.unpersist()
-
-
-def test_suffstats_oracle_weighted_sums(spark, spark_feat):
+def test_suffstats_oracle_weighted_sums(spark):
     """The M-step's weighted moments equal the SQL aggregation DuckDB runs."""
-    df, cols, ids, X = spark_feat
+    ids, X, _ = synthetic_mixture(n=800, seed=7)
     nb = NumpyBackend(ids, X)
-    params, _ = fit_em(nb, GROUPS2, EMConfig(max_iter=2))
+    params, _, _ = fit_one(nb, EMConfig(max_iter=2))
     logm, logu = class_logliks(X, params)
     g = gammas(logm, logu)
     gdf = pd.DataFrame(
@@ -244,3 +190,26 @@ def test_suffstats_oracle_weighted_sums(spark, spark_feat):
     FROM g
     """
     assert_equivalent(got, sql, g=gdf)
+
+
+def _degenerate(case: str) -> np.ndarray:
+    X = np.random.default_rng(11).random((200, 4))
+    if case == "no row above eps at init":
+        return 0.4 * X  # every row's mean similarity is below ε = 0.5
+    if case == "constant feature group":
+        X[:, 2:] = 0.7  # group 1 has zero variance in both classes
+        return X
+    return X[:1]  # one-row model
+
+
+@pytest.mark.parametrize(
+    "case", ["no row above eps at init", "constant feature group", "one-row model"]
+)
+def test_joint_em_degenerate_single_model(case):
+    """Single-model EM on a degenerate input finishes with finite posteriors."""
+    X = _degenerate(case)
+    be = NumpyBackend(np.column_stack([np.arange(len(X))] * 2), X)
+    params, history, tail_gamma = fit_one(be, EMConfig())
+    gamma = tail_gamma if tail_gamma is not None else be.posterior_vector(params)
+    assert history and len(gamma) == len(X)
+    assert np.isfinite(gamma).all() and ((gamma >= 0.0) & (gamma <= 1.0)).all()

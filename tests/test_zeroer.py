@@ -1,6 +1,8 @@
 """End-to-end ZeroER tests on generated datasets (quality + mechanics)."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -65,14 +67,21 @@ def test_zeroer_constraint_requires_intra(spark, task_ds):
         run_zeroer(task_ds.cross.sparkSession, task_ds, transitivity="constraint")
 
 
-def test_zeroer_spark_backend_agrees_with_numpy(spark, fz, task_fz):
-    """Both EM backends must produce the same prediction set end-to-end."""
-    cfg = EMConfig(max_iter=8)
-    a = run_zeroer(spark, task_fz, config=cfg, transitivity="none", backend="numpy")
-    b = run_zeroer(spark, task_fz, config=cfg, transitivity="none", backend="spark")
-    pa = set(map(tuple, a.predictions.toPandas().to_numpy()))
-    pb = set(map(tuple, b.predictions.toPandas().to_numpy()))
-    assert pa == pb
+@pytest.mark.parametrize(
+    "empty, transitivity", [("left", "constraint"), ("cross", "constraint"), ("cross", "none")]
+)
+def test_zeroer_empty_model(spark, fz, task_fz, empty, transitivity):
+    """Blocking yields no pairs when no two tuples share a rare token. An
+    empty intra model is left out of EM (its pairs stay blocked out, γ = 0);
+    an empty cross model gives no candidates and no predictions."""
+    task = dataclasses.replace(task_fz, **{empty: getattr(task_fz, empty).limit(0)})
+    res = run_zeroer(spark, task, transitivity=transitivity)
+    if empty == "cross":
+        assert res.n_candidates == 0 and res.n_iterations == 0
+        assert res.predictions.count() == 0 and res.posteriors.empty
+    else:
+        assert res.n_candidates == task_fz.cross.count()
+        assert evaluate(res.predictions, fz.matches).f1 >= 0.9
 
 
 def test_postprocess_one_to_one_keeps_best():
