@@ -23,8 +23,6 @@ from pyspark.sql import DataFrame
 
 from repro.core import gmm, regularization
 
-GammaKey = tuple[int, int]
-
 _GAMMA_CLIP = 1e-7
 _VAR_FLOOR = 1e-12
 
@@ -121,19 +119,18 @@ def _encode_ids(ids: np.ndarray) -> np.ndarray:
 
 
 def apply_overrides(
-    ids: np.ndarray, gamma: np.ndarray, overrides: dict[GammaKey, float] | None
+    ids: np.ndarray, gamma: np.ndarray, overrides: tuple[np.ndarray, np.ndarray] | None
 ) -> np.ndarray:
-    """Replace γ at the (l_id, r_id) keys adjusted by transitivity projection.
+    """Replace γ at the pairs adjusted by transitivity projection.
 
-    Vectorized via sorted-key search: O(n log m) for m overrides, instead of
-    a per-row dict probe (this runs twice per EM iteration per model).
+    ``overrides`` is (keys, values): int64 ``_encode_ids`` keys of the
+    adjusted (l_id, r_id) pairs and their γ'. Vectorized via sorted-key
+    search: O(n log m) for m overrides (this runs twice per EM iteration per
+    model).
     """
-    if not overrides:
+    if overrides is None or not len(overrides[0]):
         return gamma
-    okeys = np.fromiter(
-        ((k[0] << 32) | k[1] for k in overrides), dtype=np.int64, count=len(overrides)
-    )
-    ovals = np.fromiter(overrides.values(), dtype=np.float64, count=len(overrides))
+    okeys, ovals = overrides
     order = np.argsort(okeys)
     okeys, ovals = okeys[order], ovals[order]
     enc = _encode_ids(ids)
@@ -192,7 +189,7 @@ class NumpyBackend:
         self.n, self.d = self.X.shape
         self._cache_params: ModelParams | None = None
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._index: dict[GammaKey, int] | None = None
+        self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_spark(cls, feat_df: DataFrame, cols: list[str]) -> "NumpyBackend":
@@ -218,7 +215,9 @@ class NumpyBackend:
         gamma = (self.X.mean(axis=1) > eps).astype(np.float64)
         return stats_from_gamma(self.X, gamma)
 
-    def suffstats(self, params: ModelParams, overrides: dict[GammaKey, float] | None = None) -> SuffStats:
+    def suffstats(
+        self, params: ModelParams, overrides: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> SuffStats:
         logm, logu = self._logliks(params)
         g = apply_overrides(self.ids, gammas(logm, logu), overrides)
         return stats_from_gamma(self.X, g, logm, logu)
@@ -234,27 +233,28 @@ class NumpyBackend:
             }
         )
 
-    def _row_index(self) -> dict[GammaKey, int]:
-        if self._index is None:
-            self._index = {
-                (int(a), int(b)): i for i, (a, b) in enumerate(self.ids)
-            }
-        return self._index
-
-    def lookup(self, params: ModelParams, keys: set[GammaKey]) -> dict[GammaKey, tuple[float, float, float]]:
-        if not keys:
-            return {}
+    def lookup(
+        self, params: ModelParams, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(found, γ, log π_M p(x|θ_M), log π_U p(x|θ_U)) for int64
+        ``_encode_ids`` pair keys: ``found`` marks the keys that are candidate
+        pairs of this model, and the other three arrays hold their values.
+        A pair held by two rows resolves to the later one."""
+        if self._sorted_keys is None:
+            enc = _encode_ids(self.ids)
+            order = np.argsort(enc, kind="stable")
+            self._sorted_keys = (enc[order], order)
+        sorted_keys, order = self._sorted_keys
+        pos = np.searchsorted(sorted_keys, keys, side="right") - 1
+        found = pos >= 0
+        found[found] = sorted_keys[pos[found]] == keys[found]
+        rows = order[pos[found]]
         logm, logu = self._logliks(params)
-        g = gammas(logm, logu)
-        index = self._row_index()
-        out = {}
-        for k in keys:
-            i = index.get(k)
-            if i is not None:
-                out[k] = (float(g[i]), float(logm[i]), float(logu[i]))
-        return out
+        return found, gammas(logm, logu)[rows], logm[rows], logu[rows]
 
-    def posterior_vector(self, params: ModelParams, overrides: dict[GammaKey, float] | None = None) -> np.ndarray:
+    def posterior_vector(
+        self, params: ModelParams, overrides: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray:
         logm, logu = self._logliks(params)
         return apply_overrides(self.ids, gammas(logm, logu), overrides)
 

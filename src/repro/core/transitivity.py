@@ -9,6 +9,12 @@ with the axis projections of Eq. 18, picking per violated constraint the
 projection that maximizes the free energy F(Θ, γ) (Eq. 14) and never undoing
 a previous constraint's adjustment (the paper's conflict rule).
 
+Both steps run on int codes. :func:`enumerate_constraints` lists Q' with
+sorts and segment arithmetic over the match arrays and names each pair by its
+model code and ``(id1 << 32) | id2`` key; the caller maps those pairs to
+positions in one value table, and :func:`resolve` walks the constraints in
+order over Python lists indexed by position.
+
 Closing pairs excluded by blocking have no feature vector: their γ is pinned
 to 0 (the paper's convention), which forbids the "raise γ_c" projection and
 forces one of the two cross pairs down — exactly the fd1/fd3 false-positive
@@ -19,82 +25,135 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 
-GammaKey = tuple[int, int]
-ModelKey = tuple[str, int, int]  # ("c"|"l"|"r", id1, id2)
+from repro.core.em import _encode_ids
+
+MODELS = ("c", "l", "r")  # model codes: index into this tuple
 
 _CLIP = 1e-7
 _MAX_FANOUT = 64  # cap per-tuple match fan-out when enumerating trios
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """γ[a] · γ[b] ≤ γ[c] over model-qualified pair keys."""
+class Constraints:
+    """Q' int-coded: row t is γ[a] · γ[b] ≤ γ[c], slots (a, b, c) in order.
 
-    a: ModelKey
-    b: ModelKey
-    c: ModelKey
+    ``models[t, s]`` is the slot's model code (an index into :data:`MODELS`)
+    and ``keys[t, s]`` its pair as ``(id1 << 32) | id2`` (``em._encode_ids``).
+    """
+
+    models: np.ndarray  # (n, 3) int8
+    keys: np.ndarray  # (n, 3) int64
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
-def _intra_key(model: str, i: int, j: int) -> ModelKey:
-    return (model, min(i, j), max(i, j))
+def _intra_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return _encode_ids(np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
 
 
-def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> list[Constraint]:
+def _starts(shared: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in the sorted ``shared``."""
+    return np.flatnonzero(np.r_[True, shared[1:] != shared[:-1]])
+
+
+def _capped_groups(shared, gamma, rank, other) -> np.ndarray:
+    """Row indices kept under the fan-out cap, sorted by (shared, other, rank).
+
+    Within each ``shared`` value the rows are ranked by (−γ, ``rank``) and
+    only the first ``_MAX_FANOUT`` are kept.
+    """
+    idx = np.lexsort((rank, -gamma, shared))
+    starts = _starts(shared[idx])
+    sizes = np.diff(np.r_[starts, len(idx)])
+    in_group = np.arange(len(idx)) - np.repeat(starts, sizes)
+    kept = idx[in_group < _MAX_FANOUT]
+    return kept[np.lexsort((rank[kept], other[kept], shared[kept]))]
+
+
+def _group_pairs(shared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair p < q inside each run of equal values of the sorted
+    ``shared``, in lexicographic (p, q) order."""
+    n = len(shared)
+    starts = _starts(shared)
+    sizes = np.diff(np.r_[starts, n])
+    after = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+    p = np.repeat(np.arange(n), after)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
+    return p, q
+
+
+def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> Constraints:
     """Build Q' from the three match sets (γ ≥ 0.5 pairs per model).
 
     ``matches[m]`` has columns l_id, r_id, gamma. Two cross matches sharing a
     left tuple close through a *right*-model pair and vice versa; two intra
-    matches sharing a tuple close through the same intra model.
+    matches sharing a tuple close through the same intra model (an intra
+    match counts as a neighbour of both its tuples).
+
+    Fan-out cap: a shared tuple with more than ``_MAX_FANOUT`` (64) matches
+    keeps only its top 64 by γ, ties broken by match-set row order (for an
+    intra match, by row and then by which of its two tuples is shared), and
+    the rest of its matches form no constraint through that tuple: they are
+    dropped from Q'.
+
+    Order: cross constraints through a shared left tuple, then through a
+    shared right tuple, then left-intra, then right-intra; inside each, by
+    shared tuple id and then pair by pair in order of the neighbour ids.
+    :func:`resolve` depends on this order (the conflict rule).
     """
-    out: list[Constraint] = []
-    cross = matches.get("c")
-    if cross is not None and len(cross):
-        for side, closing in (("l_id", "r"), ("r_id", "l")):
-            other = "r_id" if side == "l_id" else "l_id"
-            for _, grp in cross.groupby(side, sort=True):
-                if len(grp) < 2:
-                    continue
-                grp = grp.nlargest(_MAX_FANOUT, "gamma").sort_values(other)
-                rows = list(grp.itertuples())
-                for i in range(len(rows)):
-                    for j in range(i + 1, len(rows)):
-                        a = ("c", int(rows[i].l_id), int(rows[i].r_id))
-                        b = ("c", int(rows[j].l_id), int(rows[j].r_id))
-                        c = _intra_key(
-                            closing, int(getattr(rows[i], other)), int(getattr(rows[j], other))
-                        )
-                        out.append(Constraint(a, b, c))
+    models: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
+
+    def emit(code_ab: int, code_c: int, a, b, c) -> None:
+        models.append(np.tile(np.array([code_ab, code_ab, code_c], dtype=np.int8), (len(a), 1)))
+        keys.append(np.column_stack([a, b, c]))
+
+    def arrays(m: str):
+        df = matches.get(m)
+        if df is None or not len(df):
+            return None
+        return (
+            df["l_id"].to_numpy(dtype=np.int64),
+            df["r_id"].to_numpy(dtype=np.int64),
+            df["gamma"].to_numpy(dtype=np.float64),
+        )
+
+    cross = arrays("c")
+    if cross is not None:
+        l, r, g = cross
+        row = np.arange(len(l))
+        pair = _encode_ids(np.column_stack([l, r]))
+        for shared, other, closing in ((l, r, "r"), (r, l, "l")):
+            kept = _capped_groups(shared, g, row, other)
+            p, q = _group_pairs(shared[kept])
+            p, q = kept[p], kept[q]
+            closing_pair = _intra_key(other[p], other[q])
+            emit(MODELS.index("c"), MODELS.index(closing), pair[p], pair[q], closing_pair)
     for m in ("l", "r"):
-        intra = matches.get(m)
-        if intra is None or not len(intra):
+        intra = arrays(m)
+        if intra is None:
             continue
+        i, j, g = intra
         # (i,j) and (i,k) matched within one table ⇒ (j,k) must match too.
-        edges = [(int(r.l_id), int(r.r_id), float(r.gamma)) for r in intra.itertuples()]
-        by_tuple: dict[int, list[tuple[int, float, int, int]]] = {}
-        for i, j, g in edges:
-            by_tuple.setdefault(i, []).append((j, g, i, j))
-            by_tuple.setdefault(j, []).append((i, g, i, j))
-        for _, nbrs in sorted(by_tuple.items()):
-            if len(nbrs) < 2:
-                continue
-            nbrs = sorted(nbrs, key=lambda t: -t[1])[:_MAX_FANOUT]
-            nbrs = sorted(nbrs)
-            for x in range(len(nbrs)):
-                for y in range(x + 1, len(nbrs)):
-                    ja, _, ia1, ja1 = nbrs[x]
-                    jb, _, ia2, ja2 = nbrs[y]
-                    if ja == jb:
-                        continue
-                    out.append(
-                        Constraint(
-                            _intra_key(m, ia1, ja1),
-                            _intra_key(m, ia2, ja2),
-                            _intra_key(m, ja, jb),
-                        )
-                    )
-    return out
+        # Entry 2e lists edge e under its first tuple, 2e + 1 under its second.
+        shared = np.column_stack([i, j]).ravel()
+        nbr = np.column_stack([j, i]).ravel()
+        entry = np.arange(len(shared))
+        kept = _capped_groups(shared, np.repeat(g, 2), entry, nbr)
+        p, q = _group_pairs(shared[kept])
+        p, q = kept[p], kept[q]
+        distinct = nbr[p] != nbr[q]
+        p, q = p[distinct], q[distinct]
+        edge = _intra_key(i, j)
+        code = MODELS.index(m)
+        emit(code, code, edge[p // 2], edge[q // 2], _intra_key(nbr[p], nbr[q]))
+    if not keys:
+        return Constraints(np.zeros((0, 3), dtype=np.int8), np.zeros((0, 3), dtype=np.int64))
+    return Constraints(np.concatenate(models), np.concatenate(keys))
 
 
 def _free_energy_term(v: float, logm: float, logu: float) -> float:
@@ -104,57 +163,48 @@ def _free_energy_term(v: float, logm: float, logu: float) -> float:
 
 
 def resolve(
-    constraints: list[Constraint],
-    values: dict[ModelKey, float],
-    logliks: dict[ModelKey, tuple[float, float]],
-) -> dict[ModelKey, float]:
+    positions: np.ndarray,
+    values: np.ndarray,
+    logm: np.ndarray,
+    logu: np.ndarray,
+) -> dict[int, float]:
     """Greedy projection of γ* onto (approximately) the boundary of Q.
 
-    ``values``: current γ* for every key appearing in some constraint; keys
-    missing from ``values`` are treated as pinned 0 (blocked-out pairs).
-    ``logliks``: (log π_M p(x|θ_M), log π_U p(x|θ_U)) for keys that *have* a
-    feature vector — only those keys may be adjusted.
+    ``positions``: (n, 3) the constraints' (a, b, c) pairs, in order, as
+    indices into ``values``; −1 is a pair without a feature vector (blocked
+    out), pinned at γ = 0 and never adjusted. ``values``, ``logm``, ``logu``:
+    the current γ* and (log π_M p(x|θ_M), log π_U p(x|θ_U)) per position.
 
-    Returns the adjusted γ' per key (only keys that were actually moved).
+    Returns the adjusted γ' per position (only positions that were moved).
     """
-    adjusted: dict[ModelKey, float] = {}
-    direction: dict[ModelKey, int] = {}  # +1 raised, -1 lowered
-
-    def cur(k: ModelKey) -> float:
-        if k in adjusted:
-            return adjusted[k]
-        return values.get(k, 0.0)
-
-    for con in constraints:
-        ga, gb, gc = cur(con.a), cur(con.b), cur(con.c)
+    cur = values.tolist()
+    cur.append(0.0)  # read by position −1
+    lm, lu = logm.tolist(), logu.tolist()
+    direction = [0] * len(values)  # +1 raised, −1 lowered, 0 untouched
+    adjusted: dict[int, float] = {}
+    for a, b, c in positions.tolist():
+        ga, gb, gc = cur[a], cur[b], cur[c]
         if ga * gb <= gc + 1e-12:
             continue
-        # Candidate projections (Eq. 18): raise c, or lower a or b.
-        options: list[tuple[float, ModelKey, float, int]] = []
+        # Candidate projections (Eq. 18): raise c, or lower a or b. The first
+        # of equal gains wins.
+        best = None
         for key, new, dirn in (
-            (con.c, ga * gb, +1),
-            (con.a, gc / gb if gb > _CLIP else 0.0, -1),
-            (con.b, gc / ga if ga > _CLIP else 0.0, -1),
+            (c, ga * gb, +1),
+            (a, gc / gb if gb > _CLIP else 0.0, -1),
+            (b, gc / ga if ga > _CLIP else 0.0, -1),
         ):
-            ll = logliks.get(key)
-            if ll is None:
+            if key < 0:
                 continue  # pinned γ=0 pair: not adjustable
-            prev_dir = direction.get(key)
-            if prev_dir is not None and prev_dir != dirn:
+            if direction[key] == -dirn:
                 continue  # would undo an earlier constraint's adjustment
-            gain = _free_energy_term(new, *ll) - _free_energy_term(cur(key), *ll)
-            options.append((gain, key, new, dirn))
-        if not options:
+            ll = lm[key], lu[key]
+            gain = _free_energy_term(new, *ll) - _free_energy_term(cur[key], *ll)
+            if best is None or gain > best[0]:
+                best = (gain, key, new, dirn)
+        if best is None:
             continue  # all axes conflict: perform no projection (paper's rule)
-        gain, key, new, dirn = max(options, key=lambda t: t[0])
-        adjusted[key] = min(max(new, _CLIP), 1.0 - _CLIP)
+        _, key, new, dirn = best
+        cur[key] = adjusted[key] = min(max(new, _CLIP), 1.0 - _CLIP)
         direction[key] = dirn
     return adjusted
-
-
-def split_by_model(adjusted: dict[ModelKey, float]) -> dict[str, dict[GammaKey, float]]:
-    """Regroup adjusted values into per-model override dicts for the backends."""
-    out: dict[str, dict[GammaKey, float]] = {"c": {}, "l": {}, "r": {}}
-    for (m, i, j), v in adjusted.items():
-        out[m][(i, j)] = v
-    return out

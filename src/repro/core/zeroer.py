@@ -102,6 +102,55 @@ class ZeroERResult:
     history: list[float]  # expected log-likelihood per iteration (all models)
 
 
+def _transitivity_overrides(
+    backends: dict[str, NumpyBackend],
+    params: dict[str, ModelParams],
+    matches: dict[str, pd.DataFrame],
+    constraints: trans_mod.Constraints,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Resolve Q' (Eq. 18) and return each model's adjusted pairs as
+    (``_encode_ids`` keys, γ') override arrays.
+
+    Every pair a constraint names gets one position in a value table: a
+    model's match rows, then the closing pairs among its other candidate
+    pairs (looked up in its backend). A pair in neither, blocked out or of a
+    model left out, gets position −1: pinned at γ = 0.
+    """
+    positions = np.full(constraints.keys.shape, -1, dtype=np.int64)
+    spans: list[tuple[str, int, np.ndarray]] = []  # (model, first position, keys)
+    values, logm, logu = [], [], []
+    base = 0
+    for code, m in enumerate(trans_mod.MODELS):
+        if m not in backends:
+            continue
+        mdf = matches[m]
+        k = em_mod._encode_ids(mdf[["l_id", "r_id"]].to_numpy())
+        slots = constraints.models == code
+        need = np.setdiff1d(constraints.keys[:, 2][slots[:, 2]], k)
+        found, g, lm, lu = backends[m].lookup(params[m], need)
+        k = np.concatenate([k, need[found]])
+        values += [mdf["gamma"].to_numpy(), g]
+        logm += [mdf["logm"].to_numpy(), lm]
+        logu += [mdf["logu"].to_numpy(), lu]
+        if len(k):
+            order = np.argsort(k)
+            wanted = constraints.keys[slots]
+            at = order[np.minimum(np.searchsorted(k[order], wanted), len(k) - 1)]
+            positions[slots] = np.where(k[at] == wanted, base + at, -1)
+        spans.append((m, base, k))
+        base += len(k)
+    adjusted = trans_mod.resolve(
+        positions, np.concatenate(values), np.concatenate(logm), np.concatenate(logu)
+    )
+    at = np.fromiter(adjusted.keys(), dtype=np.int64, count=len(adjusted))
+    new = np.fromiter(adjusted.values(), dtype=np.float64, count=len(adjusted))
+    out = {}
+    for m, first, k in spans:
+        mine = (at >= first) & (at < first + len(k))
+        out[m] = (k[at[mine] - first], new[mine])
+    return out
+
+
 _STABLE_WINDOW = 10  # early stop when the cross match set is this long stable
 
 
@@ -110,7 +159,9 @@ def _joint_em(
     groups: np.ndarray,
     config: EMConfig,
     use_transitivity: bool,
-) -> tuple[dict[str, ModelParams], dict[str, dict], list[float], np.ndarray | None]:
+) -> tuple[
+    dict[str, ModelParams], dict[str, tuple[np.ndarray, np.ndarray]], list[float], np.ndarray | None
+]:
     """Algorithm 2's loop over the linked models in ``backends``.
 
     ``backends`` maps "c" (required), "l" and "r" to non-empty models. A
@@ -118,6 +169,11 @@ def _joint_em(
     γ = 0 under the transitivity constraints. With ``use_transitivity=False``
     (or a single "c" backend) this degrades to Algorithm 1 run independently
     per model.
+
+    With transitivity, each iteration re-enumerates Q' from the models'
+    γ ≥ 0.5 match arrays and resolves it (:func:`_transitivity_overrides`);
+    the adjusted pairs reach the next M-step and the posteriors as per-model
+    (key, γ') arrays.
 
     Transitivity projections can make the expected log-likelihood oscillate
     (a pair forced across components contributes a huge negative density
@@ -129,7 +185,7 @@ def _joint_em(
     """
     R = {m: em_mod.shared_correlation(b, groups) for m, b in backends.items()}
     stats = {m: b.init_stats(config.eps_init) for m, b in backends.items()}
-    overrides: dict[str, dict] = {m: {} for m in backends}
+    overrides: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     history: list[float] = []
     params: dict[str, ModelParams] = {}
     gamma_tail: deque[np.ndarray] = deque(maxlen=max(1, config.tail_average))
@@ -146,23 +202,7 @@ def _joint_em(
         if use_transitivity:
             matches = {m: backends[m].match_candidates(params[m]) for m in backends}
             constraints = trans_mod.enumerate_constraints(matches)
-            values: dict[trans_mod.ModelKey, float] = {}
-            logliks: dict[trans_mod.ModelKey, tuple[float, float]] = {}
-            for m, mdf in matches.items():
-                for r in mdf.itertuples():
-                    k = (m, int(r.l_id), int(r.r_id))
-                    values[k] = float(r.gamma)
-                    logliks[k] = (float(r.logm), float(r.logu))
-            need: dict[str, set] = {m: set() for m in backends}
-            for con in constraints:
-                if con.c[0] in need and con.c not in values:
-                    need[con.c[0]].add((con.c[1], con.c[2]))
-            for m, keys in need.items():
-                for k, (g, lm, lu) in backends[m].lookup(params[m], keys).items():
-                    values[(m, k[0], k[1])] = g
-                    logliks[(m, k[0], k[1])] = (lm, lu)
-            adjusted = trans_mod.resolve(constraints, values, logliks)
-            overrides = trans_mod.split_by_model(adjusted)
+            overrides = _transitivity_overrides(backends, params, matches, constraints)
         stats = {m: backends[m].suffstats(params[m], overrides.get(m)) for m in backends}
         history.append(sum(s.ell for s in stats.values()))
         gamma = backends["c"].posterior_vector(params["c"], overrides.get("c"))

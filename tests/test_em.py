@@ -110,13 +110,14 @@ def test_apply_overrides_vectorized_matches_naive():
     g = np.random.default_rng(3)
     ids = g.integers(0, 50, (200, 2)).astype(np.int64)
     gamma = g.random(200)
-    overrides = {(int(ids[i, 0]), int(ids[i, 1])): 0.42 for i in [3, 77, 150]}
-    out = apply_overrides(ids, gamma, overrides)
+    overrides = {(int(ids[i, 0]), int(ids[i, 1])): 0.42 for i in [150, 3, 77]}
+    keys = np.array([(a << 32) | b for a, b in overrides], dtype=np.int64)
+    out = apply_overrides(ids, gamma, (keys, np.full(len(keys), 0.42)))
     for i in range(200):
         k = (int(ids[i, 0]), int(ids[i, 1]))
-        if k in overrides:
-            assert out[i] == pytest.approx(0.42)
-    assert apply_overrides(ids, gamma, {}) is gamma
+        assert out[i] == (pytest.approx(0.42) if k in overrides else gamma[i])
+    assert apply_overrides(ids, gamma, (np.zeros(0, np.int64), np.zeros(0))) is gamma
+    assert apply_overrides(ids, gamma, None) is gamma
 
 
 def test_numpy_backend_em_recovers_mixture():
@@ -145,12 +146,15 @@ def test_numpy_backend_match_candidates_and_lookup():
     mc = be.match_candidates(params)
     assert set(mc.columns) == {"l_id", "r_id", "gamma", "logm", "logu"}
     assert (mc.gamma >= 0.5).all()
-    keys = {(int(r.l_id), int(r.r_id)) for r in mc.head(3).itertuples()}
-    looked = be.lookup(params, keys)
-    assert set(looked) == keys
-    for k, (g, lm, lu) in looked.items():
-        assert g >= 0.5
-    assert be.lookup(params, {(999999, 999999)}) == {}
+    head = mc.head(3)
+    keys = (head.l_id.to_numpy() << 32) | head.r_id.to_numpy()
+    missing = (999999 << 32) | 999999
+    found, g, lm, lu = be.lookup(params, np.r_[keys[:2], missing, keys[2:]])
+    assert found.tolist() == [True, True, False, True]
+    assert g.tolist() == head.gamma.tolist()
+    assert lm.tolist() == head.logm.tolist() and lu.tolist() == head.logu.tolist()
+    found, g, _, _ = be.lookup(params, np.array([missing]))
+    assert found.tolist() == [False] and len(g) == 0
 
 
 def test_shared_correlation_identity_for_independent_groups():

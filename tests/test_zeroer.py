@@ -84,6 +84,28 @@ def test_zeroer_empty_model(spark, fz, task_fz, empty, transitivity):
         assert evaluate(res.predictions, fz.matches).f1 >= 0.9
 
 
+def test_zeroer_all_missing_attribute(spark, fz):
+    """An attribute that is NULL in both tables end to end: the scaler pins
+    its features to a constant 0 in every model, and EM still converges to
+    finite posteriors and a good F1 on the remaining attributes."""
+    from pyspark.sql import functions as F
+
+    assert fz.blocking_attr != "addr"
+    nulled = F.lit(None).cast("string")
+    ds = dataclasses.replace(
+        fz, left=fz.left.withColumn("addr", nulled), right=fz.right.withColumn("addr", nulled)
+    )
+    task = featurize(spark, ds, include_intra=True)
+    addr_cols = [c for c in task.cols if c.startswith("addr_")]
+    assert addr_cols
+    for df in (task.cross, task.left, task.right):
+        assert (df.select(*addr_cols).toPandas().to_numpy() == 0.0).all()
+    res = run_zeroer(spark, task, transitivity="constraint")
+    assert np.isfinite(res.posteriors["gamma"].to_numpy()).all()
+    assert evaluate(res.predictions, ds.matches).f1 >= 0.9
+    task.unpersist()
+
+
 def test_postprocess_one_to_one_keeps_best():
     post = pd.DataFrame(
         {
