@@ -8,13 +8,15 @@ iteration is: (E) per-row class log-likelihoods → γ, (M) weighted moments →
 new Θ, covariance composition ``Σ_C = Λ_C R Λ_C`` and adaptive regularization
 ``Σ_C += K`` (Algorithm 1 lines 8–14).
 
-The passes run on the driver in :class:`NumpyBackend`: each model's
-post-blocking feature matrix is collected once (the largest one measured,
-DBLP-Scholar's right self-block at scale 0.4, is 320,932 × 29 doubles,
-≈74 MB) and every E-step and M-step is vectorized numpy over it.
+The passes run on the driver in :class:`NumpyBackend`: every model's
+post-blocking feature matrix is collected once, all of them in one Arrow
+transfer (the largest one measured, DBLP-Scholar's right self-block at scale
+0.4, is 320,932 × 29 doubles, ≈74 MB), and every E-step and M-step is
+vectorized numpy over it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,9 +194,32 @@ class NumpyBackend:
         self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_spark(cls, feat_df: DataFrame, cols: list[str]) -> "NumpyBackend":
-        pdf = feat_df.select("l_id", "r_id", *cols).toPandas()
-        return cls(pdf[["l_id", "r_id"]].to_numpy(), pdf[cols].to_numpy(dtype=np.float64))
+    def from_spark(cls, frames: dict[str, DataFrame], cols: list[str]) -> dict[str, "NumpyBackend"]:
+        """One backend per model of ``frames`` (model → DataFrame of ``l_id,
+        r_id, <cols>…``), collected in one transfer.
+
+        The frames are unioned with a literal model tag and arrive as one Arrow
+        table, read straight into numpy (no pandas copy). Each model's rows
+        are sorted by (l_id, r_id), so the matrices do not depend on how Spark
+        partitioned the frames: the transitivity fan-out cap breaks ties by
+        row order.
+        """
+        tagged = [
+            df.selectExpr(f"'{m}' AS model", "l_id", "r_id", *[f"`{c}`" for c in cols])
+            for m, df in frames.items()
+        ]
+        table = functools.reduce(DataFrame.unionAll, tagged).toArrow()
+        model = table.column("model").to_numpy()
+        ids = np.column_stack([table.column(k).to_numpy() for k in ("l_id", "r_id")])
+        X = np.empty((table.num_rows, len(cols)))
+        for j, c in enumerate(cols):
+            X[:, j] = table.column(c).to_numpy()
+        out = {}
+        for m in frames:
+            rows = np.flatnonzero(model == m)
+            rows = rows[np.lexsort((ids[rows, 1], ids[rows, 0]))]
+            out[m] = cls(ids[rows], X[rows])
+        return out
 
     def _logliks(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         if self._cache_params is not params:

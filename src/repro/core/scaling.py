@@ -8,10 +8,15 @@ Missing values reach Spark as NULL: Arrow turns the NaN that
 ``compute_features``' ``mapInPandas`` yields into NULL. NaN is still treated
 as missing, for callers that pass a DataFrame holding NaN directly.
 
-Both passes are built as SQL expression strings handed to one ``selectExpr``
-call. Each ``pyspark.sql.Column`` operation is a py4j round trip of about
-1 ms, and the Column-built aggregation and projection over d=29 features took
-hundreds of them, 0.3–0.5 s per pass before any Spark job ran. The fitted
+Each of ZeroER's models is scaled by its own statistics. :func:`fit_scalers`
+fits every model of a model-tagged feature frame in one aggregation grouped by
+``model``; :func:`fit_scaler` is its single-model case.
+
+Both passes are built from SQL expression strings: the aggregation as one
+``struct`` expression, the projection as one ``selectExpr`` call. Each
+``pyspark.sql.Column`` operation is a py4j round trip of about 1 ms, and the
+Column-built aggregation and projection over d=29 features took hundreds of
+them, 0.3–0.5 s per pass before any Spark job ran. The fitted
 statistics enter the projection as ``CAST('<repr>' AS DOUBLE)``, which parses
 back to the same double; a bare decimal literal would be a SQL DECIMAL.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 
 def _quote(name: str) -> str:
@@ -62,19 +68,35 @@ class Scaler:
         return df.selectExpr(*exprs)
 
 
-def fit_scaler(df: DataFrame, cols: list[str]) -> Scaler:
-    """One aggregation pass computing NaN-aware min/max per feature."""
+def _pinned_or(stat) -> float:
+    # An all-missing feature (or a model without rows) has no statistics;
+    # pin it to constant 0.
+    return float(stat) if stat is not None else 0.0
+
+
+def fit_scalers(df: DataFrame, cols: list[str], models) -> dict[str, Scaler]:
+    """One aggregation pass grouped by ``df``'s ``model`` column: NaN-aware
+    min/max per feature, as a :class:`Scaler` for each of ``models``. A model
+    with no rows gets every feature pinned to 0."""
     aggs = []
     for i, c in enumerate(cols):
         clean = f"nanvl({_quote(c)}, CAST(NULL AS DOUBLE))"
         aggs += [f"min({clean}) AS min_{i}", f"max({clean}) AS max_{i}"]
-    row = df.selectExpr(*aggs).first()
-    lo, hi = {}, {}
-    for i, c in enumerate(cols):
-        # An all-missing feature has no statistics; pin it to constant 0.
-        lo[c] = float(row[2 * i]) if row[2 * i] is not None else 0.0
-        hi[c] = float(row[2 * i + 1]) if row[2 * i + 1] is not None else 0.0
-    return Scaler(cols=list(cols), min=lo, max=hi)
+    # One struct of every aggregate: a single expression, a single py4j call.
+    rows = df.groupBy("model").agg(F.expr(f"struct({', '.join(aggs)}) AS stats")).collect()
+    stats = {row["model"]: row["stats"] for row in rows}
+    out = {}
+    for m in models:
+        row = stats.get(m, (None,) * (2 * len(cols)))
+        lo = {c: _pinned_or(row[2 * i]) for i, c in enumerate(cols)}
+        hi = {c: _pinned_or(row[2 * i + 1]) for i, c in enumerate(cols)}
+        out[m] = Scaler(cols=list(cols), min=lo, max=hi)
+    return out
+
+
+def fit_scaler(df: DataFrame, cols: list[str]) -> Scaler:
+    """The single-model case of :func:`fit_scalers`."""
+    return fit_scalers(df.selectExpr("'' AS model", "*"), cols, [""])[""]
 
 
 def scale_features(df: DataFrame, cols: list[str]) -> DataFrame:

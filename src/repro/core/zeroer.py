@@ -4,6 +4,8 @@ Pipeline: blocking (Spark joins) → Magellan-style features (mapInPandas) →
 impute at the minimum + min-max scale (Spark SQL expressions) → joint EM on
 the driver over three linked models (cross T×T', left T×T, right T'×T') with
 transitivity posterior constraints resolved every E-step → pairs with γ > 0.5.
+The Spark part is one program for all three models, each row tagged with its
+model, and it reaches the driver in one Arrow transfer.
 """
 from __future__ import annotations
 
@@ -14,13 +16,19 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.blocking import cross_block, self_block
+from repro.blocking import MODEL_SIDES, block_models
 from repro.core import em as em_mod
 from repro.core import transitivity as trans_mod
 from repro.core.em import EMConfig, ModelParams, NumpyBackend
-from repro.core.scaling import scale_features
+from repro.core.scaling import fit_scalers
 from repro.erdata.generators import ERDataset
-from repro.textsim import compute_features, feature_columns, feature_plan, group_ids, pairs_with_attrs
+from repro.textsim import (
+    compute_features,
+    feature_columns,
+    feature_plan,
+    group_ids,
+    model_pairs_with_attrs,
+)
 
 
 @dataclass
@@ -30,7 +38,9 @@ class FeaturizedTask:
     ``cross`` (and optionally ``left``/``right`` for the intra-table models)
     are DataFrames of ``l_id, r_id, <feature>…`` with features min-max scaled
     to [0, 1]. Shared by ZeroER and by every baseline so Table 3 compares
-    methods on identical inputs (the paper's protocol).
+    methods on identical inputs (the paper's protocol). ``raw`` is the cached
+    model-tagged raw feature frame the three are projected from, when
+    :func:`featurize` built the task.
     """
 
     ds: ERDataset
@@ -39,10 +49,11 @@ class FeaturizedTask:
     cross: DataFrame
     left: DataFrame | None = None
     right: DataFrame | None = None
+    raw: DataFrame | None = None
 
     def unpersist(self) -> None:
         """Release every cached DataFrame this task holds."""
-        for df in (self.cross, self.left, self.right):
+        for df in (self.cross, self.left, self.right, self.raw):
             if df is not None:
                 df.unpersist()
 
@@ -54,41 +65,35 @@ def featurize(
     include_intra: bool = False,
     min_overlap: int = 1,
     max_df_frac: float = 0.05,
-    cache: bool = True,
 ) -> FeaturizedTask:
-    """Run blocking + feature generation + scaling for a dataset."""
+    """Run blocking + feature generation + scaling for a dataset.
+
+    Every model (cross, and with ``include_intra`` left and right) goes
+    through one model-tagged Spark program: one blocking program for all
+    models' candidate pairs, one join with a side-tagged attribute table, one
+    ``mapInPandas`` kernel pass, and one aggregation grouped by model that
+    fits each model's scaler. The raw features are cached before that
+    aggregation, which fills the cache, so the similarity kernels run exactly
+    once per pair. Each model's frame is its scaler's projection of its slice
+    of that cache; :meth:`FeaturizedTask.unpersist` releases it.
+    """
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
-
-    def scaled(pa: DataFrame) -> DataFrame:
-        # Cache the raw feature matrix *before* the scaler's aggregation pass
-        # so the expensive similarity kernels run exactly once per pair; the
-        # scaled output is cached too (it is what every EM pass reads) and
-        # the raw cache is dropped once the scaled one is materialized.
-        raw = compute_features(pa, plan, ds.attr_types)
-        if not cache:
-            return scale_features(raw, cols)
-        raw = raw.cache()
-        out = scale_features(raw, cols).cache()
-        out.count()
-        raw.unpersist()
-        return out
-
-    def feats(pairs: DataFrame) -> DataFrame:
-        return scaled(pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes))
-
-    def feats_intra(table: DataFrame) -> DataFrame:
-        pairs = self_block(table, ds.blocking_attr, max_df_frac=max_df_frac, min_overlap=min_overlap)
-        return scaled(pairs_with_attrs(pairs, table, table, ds.attributes))
-
-    cross_pairs = cross_block(
-        ds.left, ds.right, ds.blocking_attr, max_df_frac=max_df_frac, min_overlap=min_overlap
+    models = tuple(MODEL_SIDES) if include_intra else ("c",)
+    pairs = block_models(
+        ds.left, ds.right, ds.blocking_attr, models,
+        max_df_frac=max_df_frac, min_overlap=min_overlap,
     )
-    task = FeaturizedTask(ds=ds, cols=cols, groups=group_ids(plan), cross=feats(cross_pairs))
-    if include_intra:
-        task.left = feats_intra(ds.left)
-        task.right = feats_intra(ds.right)
-    return task
+    pa = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
+    raw = compute_features(pa, plan, ds.attr_types).cache()
+    scalers = fit_scalers(raw, cols, models)
+    scaled = {
+        m: scalers[m].transform(raw.where(f"model = '{m}'")).drop("model") for m in models
+    }
+    return FeaturizedTask(
+        ds=ds, cols=cols, groups=group_ids(plan), cross=scaled["c"],
+        left=scaled.get("l"), right=scaled.get("r"), raw=raw,
+    )
 
 
 @dataclass
@@ -264,20 +269,22 @@ def run_zeroer(
 
     ``transitivity='constraint'`` is Algorithm 2 (requires ``task.left/right``),
     ``'none'`` is Algorithm 1, ``'post'`` is Algorithm 1 + duplicate-free
-    one-to-one post-processing (the Table 5 ablation). A model without
-    candidate pairs is not fitted: an empty intra model leaves its pairs
-    blocked out (γ = 0), and an empty cross model yields no predictions.
+    one-to-one post-processing (the Table 5 ablation). The models' scaled
+    features reach the driver in one Arrow transfer
+    (:meth:`NumpyBackend.from_spark`). A model without candidate pairs is not
+    fitted: an empty intra model leaves its pairs blocked out (γ = 0), and an
+    empty cross model yields no predictions.
     """
     config = config or EMConfig()
     use_constraint = transitivity == "constraint"
-    cb = NumpyBackend.from_spark(task.cross, task.cols)
-    backends = {"c": cb}
+    frames = {"c": task.cross}
     if use_constraint:
         if task.left is None or task.right is None:
             raise ValueError("transitivity='constraint' needs featurize(include_intra=True)")
-        backends["l"] = NumpyBackend.from_spark(task.left, task.cols)
-        backends["r"] = NumpyBackend.from_spark(task.right, task.cols)
-    backends = {m: b for m, b in backends.items() if b.n}
+        frames.update(l=task.left, r=task.right)
+    collected = NumpyBackend.from_spark(frames, task.cols)
+    cb = collected["c"]
+    backends = {m: b for m, b in collected.items() if b.n}
 
     gamma = np.zeros(0)
     history: list[float] = []

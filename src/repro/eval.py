@@ -1,4 +1,4 @@
-"""Precision / recall / F1 for predicted match sets, via DataFrame joins.
+"""Precision / recall / F1 for predicted match sets, in one Spark job.
 
 The paper reports F-score against the full ground truth; matches lost by
 blocking count against recall (same protocol here). ``restrict_to`` supports
@@ -44,13 +44,15 @@ def evaluate(
     truth are intersected with it before counting (held-out evaluation).
     """
     keys = ["l_id", "r_id"]
-    pred = predicted.select(keys).distinct()
-    tru = truth.select(keys).distinct()
+    pred = predicted.select(keys).distinct().selectExpr(*keys, "1 AS p")
+    tru = truth.select(keys).distinct().selectExpr(*keys, "1 AS t")
     if restrict_to is not None:
-        uni = restrict_to.select(keys).distinct()
-        pred = pred.join(uni, keys)
-        tru = tru.join(uni, keys)
-    n_pred = pred.count()
-    n_true = tru.count()
-    tp = pred.join(tru, keys).count()
+        uni = restrict_to.select(keys)
+        pred = pred.join(uni, keys, "left_semi")
+        tru = tru.join(uni, keys, "left_semi")
+    # One aggregation over the full outer join of the two distinct key sets:
+    # a row with p set is predicted, with t set is true, with both a hit.
+    n_pred, n_true, tp = pred.join(tru, keys, "full_outer").selectExpr(
+        "count(p)", "count(t)", "count(p + t)"
+    ).first()
     return PRF(tp=tp, fp=n_pred - tp, fn=n_true - tp)

@@ -11,5 +11,6 @@ from repro.textsim.features import (  # noqa: F401
     feature_columns,
     feature_plan,
     group_ids,
+    model_pairs_with_attrs,
     pairs_with_attrs,
 )

@@ -5,7 +5,10 @@ on its declared type (mirroring Magellan's type-driven feature factory); all
 features of one attribute share a *group id*, which is exactly the grouping
 ZeroER's block-diagonal covariance consumes (§3.1 of the paper).
 
-``compute_features`` evaluates the plan distributed with ``mapInPandas``.
+``model_pairs_with_attrs`` joins the model-tagged candidate pairs of all of
+ZeroER's models with one side-tagged attribute table, and ``compute_features``
+evaluates the plan over them in one distributed ``mapInPandas`` pass, the
+model tag passing through. ``pairs_with_attrs`` is the single-model case.
 Within each Arrow batch, every distinct value of an attribute is normalized
 and tokenized once, and every distinct *ordered* (l_value, r_value) pair is
 evaluated once: the group's kernels run on the pair and their row of values
@@ -25,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, StructField, StructType
 
+from repro.blocking import MODEL_SIDES
 from repro.textsim import sim, tokenize
 
 _KINDS_BY_TYPE: dict[str, list[str]] = {
@@ -71,21 +75,55 @@ def group_ids(plan: list[Feature]) -> np.ndarray:
     return np.asarray([f.group for f in plan], dtype=np.int64)
 
 
+def model_pairs_with_attrs(
+    pairs: DataFrame, left: DataFrame, right: DataFrame, attributes: list[str]
+) -> DataFrame:
+    """Join model-tagged (model, l_id, r_id) pairs with their tuples' attributes.
+
+    Each model reads its ids from the sides :data:`MODEL_SIDES` gives it
+    (side 0 is ``left``, side 1 is ``right``), so every model's pairs meet
+    one side-tagged attribute table in one pair of joins. Output columns:
+    ``model, l_id, r_id, l_<attr>…, r_<attr>…``.
+    """
+    cols = [f"`{a}`" for a in attributes]
+    attrs = left.selectExpr("0 AS side", "_id", *cols).unionAll(
+        right.selectExpr("1 AS side", "_id", *cols)
+    )
+
+    def named(p: str) -> DataFrame:
+        return attrs.selectExpr(
+            f"side AS {p}_side", f"_id AS {p}_id", *[f"`{a}` AS `{p}_{a}`" for a in attributes]
+        )
+
+    def side(j: int) -> str:
+        return "CASE model " + " ".join(
+            f"WHEN '{m}' THEN {s[j]}" for m, s in MODEL_SIDES.items()
+        ) + " END"
+
+    tagged = pairs.selectExpr(
+        "model", "l_id", "r_id", f"{side(0)} AS l_side", f"{side(1)} AS r_side"
+    )
+    return (
+        tagged.join(named("l"), ["l_side", "l_id"])
+        .join(named("r"), ["r_side", "r_id"])
+        .selectExpr(
+            "model", "l_id", "r_id",
+            *[f"`l_{a}`" for a in attributes], *[f"`r_{a}`" for a in attributes],
+        )
+    )
+
+
 def pairs_with_attrs(
     pairs: DataFrame, left: DataFrame, right: DataFrame, attributes: list[str]
 ) -> DataFrame:
     """Join a (l_id, r_id) pair set with both sides' attributes.
 
-    Output columns: ``l_id, r_id, l_<attr>…, r_<attr>…``. Pure DataFrame
-    joins so Catalyst plans the (potentially large) pair materialization.
+    Output columns: ``l_id, r_id, l_<attr>…, r_<attr>…``. The single-model
+    case of :func:`model_pairs_with_attrs` (a cross model over ``left`` ×
+    ``right``).
     """
-    lsel = left.select(
-        F.col("_id").alias("l_id"), *[F.col(a).alias(f"l_{a}") for a in attributes]
-    )
-    rsel = right.select(
-        F.col("_id").alias("r_id"), *[F.col(a).alias(f"r_{a}") for a in attributes]
-    )
-    return pairs.select("l_id", "r_id").join(lsel, "l_id").join(rsel, "r_id")
+    tagged = pairs.selectExpr("'c' AS model", "l_id", "r_id")
+    return model_pairs_with_attrs(tagged, left, right, attributes).drop("model")
 
 
 def _is_missing(v) -> bool:
@@ -181,17 +219,22 @@ def compute_features(
     plan: list[Feature],
     attr_types: dict[str, str],
 ) -> DataFrame:
-    """(l_id, r_id, l_*, r_*) → (l_id, r_id, <feature>…double) via mapInPandas."""
+    """(<keys>, l_*, r_*) → (<keys>, <feature>…double) via mapInPandas.
+
+    Every column that is not an ``l_<attr>``/``r_<attr>`` input of the plan
+    (``l_id``, ``r_id`` and, for model-tagged pairs, ``model``) passes through
+    in its input order and type.
+    """
     by_attr: dict[str, list[Feature]] = {}
     for f in plan:
         by_attr.setdefault(f.attr, []).append(f)
-    schema = "l_id long, r_id long, " + ", ".join(
-        f"`{f.name}` double" for f in plan
-    )
+    inputs = {f"{side}_{a}" for a in by_attr for side in ("l", "r")}
+    keys = [f for f in pairs_attrs.schema.fields if f.name not in inputs]
+    schema = StructType(keys + [StructField(f.name, DoubleType()) for f in plan])
 
     def gen(batches):
         for pdf in batches:
-            cols: dict[str, object] = {"l_id": pdf["l_id"], "r_id": pdf["r_id"]}
+            cols: dict[str, object] = {k.name: pdf[k.name] for k in keys}
             for attr, feats in by_attr.items():
                 kinds = [f.kind for f in feats]
                 vals = _eval_group(kinds, attr_types[attr], pdf[f"l_{attr}"], pdf[f"r_{attr}"])

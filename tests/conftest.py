@@ -35,3 +35,18 @@ def task_ds(spark, ds_dirty):
     from repro.core.zeroer import featurize
 
     return featurize(spark, ds_dirty, include_intra=False)
+
+
+@pytest.fixture
+def few_partitions(spark):
+    """Four shuffle partitions for the duration of a test, for reference
+    dataflows whose results do not depend on partitioning: every shuffle
+    stage runs one task per partition (one Python worker task each under
+    ``mapInPandas``)."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    spark.conf.set(key, "4")
+    try:
+        yield
+    finally:
+        spark.conf.set(key, saved)

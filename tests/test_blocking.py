@@ -1,13 +1,75 @@
 """Oracle tests for token blocking: the Spark dataflow must equal the
-equivalent relational query run by DuckDB."""
+equivalent relational query run by DuckDB, and the model-tagged program must
+give every model the pairs of the per-model reference dataflows below."""
 from __future__ import annotations
 
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import cross_block, self_block, token_table
+from repro.blocking import block_models, cross_block, self_block, token_table
 from repro.oracle import assert_equivalent
+
+
+# ------------------------------------------------ per-model reference dataflows
+def _ref_rare_tokens(lt: DataFrame, rt: DataFrame, n_records: int, max_df_frac: float) -> DataFrame:
+    cap = max(20.0, max_df_frac * n_records)
+    df_counts = lt.select("token").unionAll(rt.select("token")).groupBy("token").count()
+    return df_counts.where(F.col("count") <= F.lit(cap)).select("token")
+
+
+def ref_cross_block(left, right, attr, *, max_df_frac=0.05, min_overlap=1) -> DataFrame:
+    """The cross model's own chain: stop-tokens by df_T + df_T' over |T| + |T'|."""
+    lt = token_table(left, attr, "l_id")
+    rt = token_table(right, attr, "r_id")
+    rare = _ref_rare_tokens(lt, rt, left.count() + right.count(), max_df_frac)
+    lt = lt.join(rare, "token")
+    rt = rt.join(rare, "token")
+    return (
+        lt.join(rt, "token")
+        .groupBy("l_id", "r_id")
+        .agg(F.count("*").alias("n_shared"))
+        .where(F.col("n_shared") >= F.lit(min_overlap))
+        .select("l_id", "r_id")
+    )
+
+
+def ref_self_block(table, attr, *, max_df_frac=0.05, min_overlap=1) -> DataFrame:
+    """An intra model's own chain: the table joined with a copy of itself."""
+    lt = token_table(table, attr, "l_id")
+    rt = lt.select(F.col("l_id").alias("r_id"), "token")
+    rare = _ref_rare_tokens(lt, rt, 2 * table.count(), max_df_frac)
+    lt = lt.join(rare, "token")
+    rt = rt.join(rare, "token")
+    return (
+        lt.join(rt, "token")
+        .where(F.col("l_id") < F.col("r_id"))
+        .groupBy("l_id", "r_id")
+        .agg(F.count("*").alias("n_shared"))
+        .where(F.col("n_shared") >= F.lit(min_overlap))
+        .select("l_id", "r_id")
+    )
+
+
+def ref_blocks(left, right, attr, **kw) -> dict[str, set]:
+    """Model → candidate pair set, each model from its own reference chain
+    (collected together)."""
+    frames = {
+        "c": ref_cross_block(left, right, attr, **kw),
+        "l": ref_self_block(left, attr, **kw),
+        "r": ref_self_block(right, attr, **kw),
+    }
+    tagged = [df.select(F.lit(m).alias("model"), "l_id", "r_id") for m, df in frames.items()]
+    return model_sets(tagged[0].unionAll(tagged[1]).unionAll(tagged[2]))
+
+
+def model_sets(pairs: DataFrame, models=("c", "l", "r")) -> dict[str, set]:
+    pdf = pairs.toPandas()
+    return {
+        m: set(map(tuple, pdf.loc[pdf.model == m, ["l_id", "r_id"]].to_numpy().tolist()))
+        for m in models
+    }
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +184,80 @@ def test_stop_token_cap_prunes(spark):
     )
     pairs = cross_block(left, right, "name", max_df_frac=0.05)
     assert pairs.count() == 0  # "common" alone would give n² pairs
+
+
+@pytest.fixture(scope="module")
+def ag_small(spark):
+    from repro.erdata import amazon_google
+
+    return amazon_google(spark, scale=0.05)
+
+
+@pytest.mark.parametrize("name", ["fz", "ds_dirty", "ag_small"])
+def test_block_models_equal_per_model_reference(spark, request, few_partitions, name):
+    """Every model's candidate set from the one tagged program equals its own
+    reference chain."""
+    ds = request.getfixturevalue(name)
+    for max_df_frac in (0.05, 1.0):
+        for min_overlap in (1, 2):
+            kw = dict(max_df_frac=max_df_frac, min_overlap=min_overlap)
+            want = ref_blocks(ds.left, ds.right, ds.blocking_attr, **kw)
+            got = model_sets(block_models(ds.left, ds.right, ds.blocking_attr, ("c", "l", "r"), **kw))
+            assert got == want, kw
+            assert all(want.values()), kw
+
+
+@pytest.fixture(scope="module")
+def rule_tables(spark):
+    """Tokens whose stop-token status differs between the three models (caps
+    at the floor of 20: 30 + 30 records, f = 0.05).
+
+    - ``y`` in 9 T and 9 T' records: rare for all three (18, 18, 18 ≤ 20).
+    - ``z`` in 1 T and 11 T' records: rare across the tables (1 + 11 = 12)
+      but a stop-token inside T' alone (2 · 11 = 22).
+    - ``w`` in 15 T and 6 T' records: a stop-token for cross (21) and left
+      (30), rare for right (12).
+    """
+    def table(side, y, z, w, n=30):
+        names = [
+            " ".join(t for t, hit in (("y", i < y), ("z", i >= n - z), ("w", y <= i < y + w)) if hit)
+            + f" {side}{i}"
+            for i in range(n)
+        ]
+        return spark.createDataFrame(
+            pd.DataFrame({"_id": pd.array(range(n), dtype="int64"), "name": names})
+        )
+
+    return table("a", 9, 1, 15), table("b", 9, 11, 6)
+
+
+def test_block_models_stop_token_rule_per_model(spark, few_partitions, rule_tables):
+    left, right = rule_tables
+    want = ref_blocks(left, right, "name")
+    got = model_sets(block_models(left, right, "name", ("c", "l", "r")))
+    assert got == want
+    lp, rp = left.toPandas(), right.toPandas()
+    has = lambda pdf, t: set(pdf.loc[pdf.name.str.split().map(lambda x: t in x), "_id"])  # noqa: E731
+    z_cross = {(a, b) for a in has(lp, "z") for b in has(rp, "z")}
+    assert len(z_cross) == 11 and z_cross <= got["c"]  # z is rare across the tables
+    z_right = {(a, b) for a in has(rp, "z") for b in has(rp, "z") if a < b}
+    assert not z_right & got["r"]  # ... but a stop-token inside T'
+    w_right = {(a, b) for a in has(rp, "w") for b in has(rp, "w") if a < b}
+    assert len(w_right) == 15 and w_right <= got["r"]
+    w_left = {(a, b) for a in has(lp, "w") for b in has(lp, "w") if a < b}
+    assert not w_left & got["l"]
+    assert (len(got["c"]), len(got["l"]), len(got["r"])) == (81 + 11, 36, 36 + 15)
+
+
+def test_block_models_subsets(spark, few_partitions, rule_tables):
+    """Asking for a subset of the models gives exactly those models' pairs."""
+    left, right = rule_tables
+    full = model_sets(block_models(left, right, "name", ("c", "l", "r")))
+    for models in (("c",), ("l",), ("r",), ("l", "r")):
+        pairs = block_models(left, right, "name", models).toPandas()
+        assert set(pairs.model) <= set(models)
+        assert model_sets(block_models(left, right, "name", models), models) == {
+            m: full[m] for m in models
+        }
+    got = set(map(tuple, self_block(right, "name").toPandas().to_numpy().tolist()))
+    assert got == full["r"]

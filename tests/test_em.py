@@ -217,3 +217,25 @@ def test_joint_em_degenerate_single_model(case):
     gamma = tail_gamma if tail_gamma is not None else be.posterior_vector(params)
     assert history and len(gamma) == len(X)
     assert np.isfinite(gamma).all() and ((gamma >= 0.0) & (gamma <= 1.0)).all()
+
+
+def test_from_spark_collects_every_model_sorted(spark):
+    """One transfer gives each model its own rows, sorted by (l_id, r_id)
+    whatever order the frames hold them in, with each feature row kept on
+    its pair; a model without rows gives an empty (0, d) backend."""
+    rng = np.random.default_rng(3)
+    cols = ["f0", "f1"]
+
+    def frame(n, seed):
+        ids = np.random.default_rng(seed).permutation(n * n)[:n]
+        pdf = pd.DataFrame({"l_id": ids // n, "r_id": ids % n})
+        pdf[cols] = rng.uniform(size=(n, 2))
+        return pdf, spark.createDataFrame(pdf.astype({"l_id": "int64", "r_id": "int64"}))
+
+    (pc, dc), (pl, dl) = frame(40, 1), frame(15, 2)
+    got = NumpyBackend.from_spark({"c": dc, "l": dl, "r": dl.limit(0)}, cols)
+    for m, pdf in (("c", pc), ("l", pl)):
+        want = pdf.sort_values(["l_id", "r_id"], ignore_index=True)
+        np.testing.assert_array_equal(got[m].ids, want[["l_id", "r_id"]].to_numpy())
+        np.testing.assert_array_equal(got[m].X, want[cols].to_numpy())
+    assert (got["r"].n, got["r"].d) == (0, 2)

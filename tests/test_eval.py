@@ -72,3 +72,22 @@ def test_evaluate_oracle_counts(spark):
       (SELECT COUNT(*) FROM (SELECT DISTINCT * FROM truth)) AS nt
     """
     assert_equivalent(got, sql, pred=pred, truth=truth)
+
+
+def test_evaluate_duplicates_both_sides_restricted(spark):
+    """Duplicates in prediction, truth and universe count once; pairs outside
+    the universe count nowhere."""
+    pred = pairs_df(spark, [(1, 1), (1, 1), (2, 2), (2, 2), (5, 5), (6, 6)])
+    truth = pairs_df(spark, [(1, 1), (1, 1), (3, 3), (3, 3), (6, 6), (7, 7)])
+    uni = pairs_df(spark, [(1, 1), (1, 1), (2, 2), (3, 3), (3, 3), (7, 7)])
+    prf = evaluate(pred, truth, restrict_to=uni)
+    # In the universe: predicted {(1,1), (2,2)}, true {(1,1), (3,3), (7,7)}.
+    assert (prf.tp, prf.fp, prf.fn) == (1, 1, 2)
+
+
+def test_evaluate_empty_truth(spark):
+    pred = pairs_df(spark, [(1, 1), (2, 2), (2, 2)])
+    truth = pairs_df(spark, [])
+    prf = evaluate(pred, truth)
+    assert (prf.tp, prf.fp, prf.fn) == (0, 2, 0)
+    assert prf.recall == 0.0 and prf.f1 == 0.0

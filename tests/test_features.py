@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core.scaling import scale_features
 from repro.textsim import (
     compute_features,
     feature_columns,
@@ -17,6 +19,7 @@ from repro.textsim import (
     tokenize,
 )
 from repro.textsim.features import _KINDS_BY_TYPE, _eval_group
+from tests.test_blocking import ref_cross_block, ref_self_block
 from tests.test_sim import ref_jaro, ref_levenshtein
 
 ATTRS = ["name", "phone", "price"]
@@ -245,3 +248,90 @@ def test_compute_features_equal_reference_kernels(spark, request, monkeypatch, n
         t = ds.attr_types[f.attr]
         want = [ref_value(f.kind, t, lv, rv) for lv, rv in zip(rows[f"l_{f.attr}"], rows[f"r_{f.attr}"])]
         np.testing.assert_array_equal(got[f.name].to_numpy(), np.asarray(want, dtype=np.float64), err_msg=f.name)
+
+
+# ------------------------------------- the tagged program vs per-model chains
+def ref_pairs_with_attrs(pairs, left, right, attributes):
+    """One model's own pair ⋈ attributes: two joins against its two tables."""
+    lsel = left.select(
+        F.col("_id").alias("l_id"), *[F.col(a).alias(f"l_{a}") for a in attributes]
+    )
+    rsel = right.select(
+        F.col("_id").alias("r_id"), *[F.col(a).alias(f"r_{a}") for a in attributes]
+    )
+    return pairs.select("l_id", "r_id").join(lsel, "l_id").join(rsel, "r_id")
+
+
+def ref_model_frames(ds, models):
+    """Model → scaled features from that model's own chain: its blocking, its
+    attribute join, its kernel pass and its own ``scale_features``."""
+    plan = feature_plan(ds.attributes, ds.attr_types)
+    chains = {  # built on demand: the reference blockings count their tables eagerly
+        "c": lambda: (ref_cross_block(ds.left, ds.right, ds.blocking_attr), ds.left, ds.right),
+        "l": lambda: (ref_self_block(ds.left, ds.blocking_attr), ds.left, ds.left),
+        "r": lambda: (ref_self_block(ds.right, ds.blocking_attr), ds.right, ds.right),
+    }
+    out = {}
+    for m in models:
+        pairs, lt, rt = chains[m]()
+        raw = compute_features(ref_pairs_with_attrs(pairs, lt, rt, ds.attributes), plan, ds.attr_types)
+        out[m] = scale_features(raw, feature_columns(plan))
+    return out
+
+
+def sorted_matrix(df, cols):
+    pdf = df.select("l_id", "r_id", *cols).toPandas().sort_values(["l_id", "r_id"], ignore_index=True)
+    return pdf[["l_id", "r_id"]].to_numpy(), pdf[cols].to_numpy(dtype=np.float64)
+
+
+def assert_task_equals_reference(task, models):
+    want = ref_model_frames(task.ds, models)
+    frames = {"c": task.cross, "l": task.left, "r": task.right}
+    for m in models:
+        ids, X = sorted_matrix(frames[m], task.cols)
+        ref_ids, ref_X = sorted_matrix(want[m], task.cols)
+        np.testing.assert_array_equal(ids, ref_ids, err_msg=m)
+        np.testing.assert_array_equal(X, ref_X, err_msg=m)  # bit-identical
+
+
+def test_featurize_equals_per_model_chains(few_partitions, task_fz):
+    """All three models of the one tagged program: the same pairs and
+    bit-identical scaled features as each model's own chain."""
+    assert_task_equals_reference(task_fz, ("c", "l", "r"))
+
+
+def test_featurize_cross_only_equals_reference(few_partitions, task_ds):
+    """``include_intra=False`` builds the cross model alone."""
+    assert task_ds.left is None and task_ds.right is None
+    assert set(task_ds.raw.select("model").distinct().toPandas().model) == {"c"}
+    assert_task_equals_reference(task_ds, ("c",))
+
+
+def test_featurize_single_tuple_table(spark, few_partitions, fz):
+    """A one-tuple T has no intra pairs: its model is empty, while the cross
+    and T' models still equal their own chains."""
+    import dataclasses
+
+    from repro.core.zeroer import featurize
+
+    ds = dataclasses.replace(fz, left=fz.left.where("_id = 0"))
+    task = featurize(spark, ds, include_intra=True)
+    assert task.left.count() == 0 and task.left.columns == task.cross.columns
+    assert_task_equals_reference(task, ("c", "r"))
+    task.unpersist()
+
+
+def test_pairs_with_attrs_equals_reference(spark, few_partitions, fz):
+    """The single-model entry point: same rows as two joins against the two
+    tables, whatever their order, and ``l_id, r_id`` lead the columns."""
+    from repro.blocking import cross_block
+
+    pairs = cross_block(fz.left, fz.right, fz.blocking_attr)
+    got = pairs_with_attrs(pairs, fz.left, fz.right, fz.attributes)
+    assert got.columns[:2] == ["l_id", "r_id"]
+    want = ref_pairs_with_attrs(pairs, fz.left, fz.right, fz.attributes)
+    cols = sorted(got.columns)
+    a = got.select(cols).toPandas().sort_values(["l_id", "r_id"], ignore_index=True)
+    b = want.select(cols).toPandas().sort_values(["l_id", "r_id"], ignore_index=True)
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a, b)

@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.scaling import fit_scaler, scale_features
+from repro.core.scaling import fit_scaler, fit_scalers, scale_features
 from repro.oracle import assert_equivalent
 
 
@@ -110,3 +110,17 @@ def test_scaled_values_bit_identical_to_numpy(spark):
     for col, vals in (("f", x), ("g", -x)):
         lo, hi = vals.min(), vals.max()
         np.testing.assert_array_equal(out[col].to_numpy(), (vals - lo) / (hi - lo))
+
+
+def test_fit_scalers_per_model_equal_single_model_fits(spark, feat_df):
+    """One grouped pass gives each model the statistics a fit over its own
+    rows gives; a model without rows has every feature pinned to 0."""
+    tagged = feat_df.selectExpr("IF(l_id % 3 = 0, 'c', 'r') AS model", "*")
+    cols = ["f1", "f2", "f3"]
+    got = fit_scalers(tagged, cols, ["c", "l", "r"])
+    for m in ("c", "r"):
+        assert got[m] == fit_scaler(feat_df.where(f"IF(l_id % 3 = 0, 'c', 'r') = '{m}'"), cols)
+    assert got["l"].min == got["l"].max == {c: 0.0 for c in cols}
+    empty = tagged.where("model = 'l'")
+    out = got["l"].transform(empty)
+    assert out.count() == 0 and out.columns == tagged.columns

@@ -106,6 +106,40 @@ def test_zeroer_all_missing_attribute(spark, fz):
     task.unpersist()
 
 
+def test_algorithm2_spark_job_count(spark, few_partitions):
+    """featurize(include_intra) + run_zeroer("constraint") + evaluate runs
+    four Spark jobs: the blocking's table counts, the grouped scaler
+    aggregation (which also fills the raw-feature cache), the one Arrow
+    collect of all three models, and the evaluation. Counted with adaptive
+    execution off, which would add a job per shuffle stage; a chain of jobs
+    per model ran 16. The count does not depend on the partition count.
+
+    The FZ tables come from a seed no fixture uses: Spark caches by plan, so
+    featurizing a fixture's dataset again would share (and, on unpersist,
+    drop) the fixture task's cache."""
+    from repro.erdata import fodors_zagats
+
+    fz = fodors_zagats(spark, scale=0.3, seed=12)
+    fz.counts()  # the input tables' caches are filled outside the count
+    sc = spark.sparkContext
+    saved = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    sc.setJobGroup("test_algorithm2_spark_job_count", "job count")
+    try:
+        task = featurize(spark, fz, include_intra=True)
+        res = run_zeroer(spark, task, transitivity="constraint")
+        prf = evaluate(res.predictions, fz.matches)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        spark.conf.set("spark.sql.adaptive.enabled", saved)
+    jobs = sc.statusTracker().getJobIdsForGroup("test_algorithm2_spark_job_count")
+    task.unpersist()
+    for df in (fz.left, fz.right, fz.matches):
+        df.unpersist()
+    assert prf.f1 >= 0.9
+    assert len(jobs) == 4
+
+
 def test_postprocess_one_to_one_keeps_best():
     post = pd.DataFrame(
         {
