@@ -8,11 +8,11 @@ iteration is: (E) per-row class log-likelihoods → γ, (M) weighted moments →
 new Θ, covariance composition ``Σ_C = Λ_C R Λ_C`` and adaptive regularization
 ``Σ_C += K`` (Algorithm 1 lines 8–14).
 
-The passes run on the driver in :class:`NumpyBackend`: every model's
-post-blocking feature matrix is collected once, all of them in one Arrow
-transfer (the largest one measured, DBLP-Scholar's right self-block at scale
-0.4, is 320,932 × 29 doubles, ≈74 MB), and every E-step and M-step is
-vectorized numpy over it.
+The passes run on the driver in :class:`NumpyBackend`, over each model's
+scaled feature matrix as :func:`model_matrices` splits it out of one Arrow
+transfer of all models (the largest one measured, DBLP-Scholar's right
+self-block at scale 0.4, is 320,932 × 29 doubles, ≈74 MB); every E-step and
+M-step is vectorized numpy over it.
 """
 from __future__ import annotations
 
@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 
 from repro.core import gmm, regularization
+from repro.core.scaling import feature_matrix
 
 _GAMMA_CLIP = 1e-7
 _VAR_FLOOR = 1e-12
@@ -178,6 +180,24 @@ def build_params(stats: SuffStats, R: np.ndarray, groups: np.ndarray, config: EM
     return ModelParams(pi_m, mu_m, mu_u, var_m, var_u, Sigma_m, Sigma_u, groups)
 
 
+def model_matrices(
+    table: pa.Table, cols: list[str], models
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """A model-tagged Arrow table (``model, l_id, r_id, <cols>…``) as each of
+    ``models``' (ids, X), NULL read as NaN. Each model's rows are sorted by
+    (l_id, r_id), so the matrices do not depend on how Spark partitioned the
+    table: the transitivity fan-out cap breaks ties by row order."""
+    model = table.column("model").to_numpy()
+    ids = np.column_stack([table.column(k).to_numpy() for k in ("l_id", "r_id")])
+    X = feature_matrix(table, cols)
+    out = {}
+    for m in models:
+        rows = np.flatnonzero(model == m)
+        rows = rows[np.lexsort((ids[rows, 1], ids[rows, 0]))]
+        out[m] = (ids[rows], X[rows])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Backend
 # ---------------------------------------------------------------------------
@@ -196,30 +216,15 @@ class NumpyBackend:
     @classmethod
     def from_spark(cls, frames: dict[str, DataFrame], cols: list[str]) -> dict[str, "NumpyBackend"]:
         """One backend per model of ``frames`` (model → DataFrame of ``l_id,
-        r_id, <cols>…``), collected in one transfer.
-
-        The frames are unioned with a literal model tag and arrive as one Arrow
-        table, read straight into numpy (no pandas copy). Each model's rows
-        are sorted by (l_id, r_id), so the matrices do not depend on how Spark
-        partitioned the frames: the transitivity fan-out cap breaks ties by
-        row order.
-        """
+        r_id, <cols>…``): the frames, unioned with a literal model tag, arrive
+        as one Arrow table, split by :func:`model_matrices` as ``featurize``'s
+        features are."""
         tagged = [
             df.selectExpr(f"'{m}' AS model", "l_id", "r_id", *[f"`{c}`" for c in cols])
             for m, df in frames.items()
         ]
         table = functools.reduce(DataFrame.unionAll, tagged).toArrow()
-        model = table.column("model").to_numpy()
-        ids = np.column_stack([table.column(k).to_numpy() for k in ("l_id", "r_id")])
-        X = np.empty((table.num_rows, len(cols)))
-        for j, c in enumerate(cols):
-            X[:, j] = table.column(c).to_numpy()
-        out = {}
-        for m in frames:
-            rows = np.flatnonzero(model == m)
-            rows = rows[np.lexsort((ids[rows, 1], ids[rows, 0]))]
-            out[m] = cls(ids[rows], X[rows])
-        return out
+        return {m: cls(ids, X) for m, (ids, X) in model_matrices(table, cols, frames).items()}
 
     def _logliks(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         if self._cache_params is not params:

@@ -1,39 +1,27 @@
-"""Min-imputation + min-max scaling of feature columns, as Spark SQL exprs.
+"""Min-imputation + min-max scaling of feature matrices, on the driver.
 
 ZeroER min-max normalizes every feature into [0, 1] before EM (§3.3). A
-missing similarity value (a side had a NULL attribute) is imputed at the
-feature's minimum over the candidate set first.
-
-Missing values reach Spark as NULL: Arrow turns the NaN that
-``compute_features``' ``mapInPandas`` yields into NULL. NaN is still treated
-as missing, for callers that pass a DataFrame holding NaN directly.
-
-Each of ZeroER's models is scaled by its own statistics. :func:`fit_scalers`
-fits every model of a model-tagged feature frame in one aggregation grouped by
-``model``; :func:`fit_scaler` is its single-model case.
-
-Both passes are built from SQL expression strings: the aggregation as one
-``struct`` expression, the projection as one ``selectExpr`` call. Each
-``pyspark.sql.Column`` operation is a py4j round trip of about 1 ms, and the
-Column-built aggregation and projection over d=29 features took hundreds of
-them, 0.3–0.5 s per pass before any Spark job ran. The fitted
-statistics enter the projection as ``CAST('<repr>' AS DOUBLE)``, which parses
-back to the same double; a bare decimal literal would be a SQL DECIMAL.
+missing similarity value (a side had a NULL attribute, which reads as NaN
+from Arrow) is imputed at the feature's minimum over the candidate set first.
+``featurize`` fits a :class:`Scaler` on each model's collected matrix;
+:func:`fit_scaler` and :func:`scale_features` run the same numpy code over a
+DataFrame, with one ``toArrow`` in and one ``createDataFrame`` out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
-def _quote(name: str) -> str:
-    return "`" + name.replace("`", "``") + "`"
-
-
-def _double(x: float) -> str:
-    return f"CAST('{x!r}' AS DOUBLE)"
+def feature_matrix(table: pa.Table, cols: list[str]) -> np.ndarray:
+    """``table``'s ``cols`` as a float64 (rows × len(cols)) matrix, NULL → NaN."""
+    X = np.empty((table.num_rows, len(cols)))
+    for j, c in enumerate(cols):
+        X[:, j] = table.column(c).to_numpy()
+    return X
 
 
 @dataclass(frozen=True)
@@ -44,8 +32,18 @@ class Scaler:
     min: dict[str, float]
     max: dict[str, float]
 
-    def transform(self, df: DataFrame) -> DataFrame:
-        """Impute NaN/NULL at the feature *minimum*, then scale to [0, 1].
+    @classmethod
+    def fit(cls, X: np.ndarray, cols: list[str]) -> "Scaler":
+        """Min and max of each column over its non-NaN values; an all-missing
+        feature (or a matrix without rows) is pinned to constant 0."""
+        lo, hi = (
+            np.where(np.isnan(v), 0.0, v)
+            for v in (np.fmin.reduce(X, axis=0, initial=np.nan), np.fmax.reduce(X, axis=0, initial=np.nan))
+        )
+        return cls(list(cols), dict(zip(cols, lo.tolist())), dict(zip(cols, hi.tolist())))
+
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Impute NaN at the feature *minimum*, then scale to [0, 1].
 
         Min-imputation encodes "a missing attribute is no evidence of
         similarity": the missing mass merges with the dissimilar bulk instead
@@ -55,50 +53,26 @@ class Scaler:
         A constant feature (max == min) scales to 0.0 — the degenerate case
         ZeroER's adaptive regularization exists to handle.
         """
-        exprs = [_quote(c) for c in df.columns if c not in self.cols]
-        for c in self.cols:
-            lo, hi = self.min[c], self.max[c]
-            span = hi - lo
-            if span > 0:
-                imputed = f"coalesce(nanvl({_quote(c)}, CAST(NULL AS DOUBLE)), {_double(lo)})"
-                scaled = f"({imputed} - {_double(lo)}) / {_double(span)}"
-            else:
-                scaled = _double(0.0)
-            exprs.append(f"{scaled} AS {_quote(c)}")
-        return df.selectExpr(*exprs)
-
-
-def _pinned_or(stat) -> float:
-    # An all-missing feature (or a model without rows) has no statistics;
-    # pin it to constant 0.
-    return float(stat) if stat is not None else 0.0
-
-
-def fit_scalers(df: DataFrame, cols: list[str], models) -> dict[str, Scaler]:
-    """One aggregation pass grouped by ``df``'s ``model`` column: NaN-aware
-    min/max per feature, as a :class:`Scaler` for each of ``models``. A model
-    with no rows gets every feature pinned to 0."""
-    aggs = []
-    for i, c in enumerate(cols):
-        clean = f"nanvl({_quote(c)}, CAST(NULL AS DOUBLE))"
-        aggs += [f"min({clean}) AS min_{i}", f"max({clean}) AS max_{i}"]
-    # One struct of every aggregate: a single expression, a single py4j call.
-    rows = df.groupBy("model").agg(F.expr(f"struct({', '.join(aggs)}) AS stats")).collect()
-    stats = {row["model"]: row["stats"] for row in rows}
-    out = {}
-    for m in models:
-        row = stats.get(m, (None,) * (2 * len(cols)))
-        lo = {c: _pinned_or(row[2 * i]) for i, c in enumerate(cols)}
-        hi = {c: _pinned_or(row[2 * i + 1]) for i, c in enumerate(cols)}
-        out[m] = Scaler(cols=list(cols), min=lo, max=hi)
-    return out
+        lo = np.array([self.min[c] for c in self.cols])
+        span = np.array([self.max[c] for c in self.cols]) - lo
+        imputed = np.where(np.isnan(X), lo, X)
+        return np.divide(imputed - lo, span, out=np.zeros_like(imputed), where=span > 0)
 
 
 def fit_scaler(df: DataFrame, cols: list[str]) -> Scaler:
-    """The single-model case of :func:`fit_scalers`."""
-    return fit_scalers(df.selectExpr("'' AS model", "*"), cols, [""])[""]
+    """A :class:`Scaler` fitted on ``df``'s ``cols``, collected in one transfer."""
+    return Scaler.fit(feature_matrix(df.select(*cols).toArrow(), cols), cols)
 
 
 def scale_features(df: DataFrame, cols: list[str]) -> DataFrame:
-    """Convenience: fit + transform in one call."""
-    return fit_scaler(df, cols).transform(df)
+    """``df`` with ``cols`` imputed and scaled by a scaler fitted on it. The
+    other columns pass through first, in their order; ``cols`` follow."""
+    table = df.toArrow()
+    X = feature_matrix(table, cols)
+    scaled = Scaler.fit(X, cols).transform(X)
+    keep = [c for c in table.column_names if c not in cols]
+    out = pa.table(
+        [*(table.column(c) for c in keep), *(scaled[:, j] for j in range(len(cols)))],
+        names=[*keep, *cols],
+    )
+    return df.sparkSession.createDataFrame(out)

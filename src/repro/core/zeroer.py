@@ -1,11 +1,12 @@
 """End-to-end ZeroER (Algorithm 2) plus the featurization shared with baselines.
 
 Pipeline: blocking (Spark joins) → Magellan-style features (mapInPandas) →
-impute at the minimum + min-max scale (Spark SQL expressions) → joint EM on
-the driver over three linked models (cross T×T', left T×T, right T'×T') with
-transitivity posterior constraints resolved every E-step → pairs with γ > 0.5.
-The Spark part is one program for all three models, each row tagged with its
-model, and it reaches the driver in one Arrow transfer.
+one Arrow transfer to the driver → impute at the minimum + min-max scale
+(numpy, per model) → joint EM on the driver over three linked models (cross
+T×T', left T×T, right T'×T') with transitivity posterior constraints resolved
+every E-step → pairs with γ > 0.5. The Spark part is one program for all
+three models, each row tagged with its model; after its transfer, EM runs no
+Spark job.
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.blocking import MODEL_SIDES, block_models
 from repro.core import em as em_mod
 from repro.core import transitivity as trans_mod
-from repro.core.em import EMConfig, ModelParams, NumpyBackend
-from repro.core.scaling import fit_scalers
+from repro.core.em import EMConfig, ModelParams, NumpyBackend, model_matrices
+from repro.core.scaling import Scaler
 from repro.erdata.generators import ERDataset
 from repro.textsim import (
     compute_features,
@@ -38,9 +40,9 @@ class FeaturizedTask:
     ``cross`` (and optionally ``left``/``right`` for the intra-table models)
     are DataFrames of ``l_id, r_id, <feature>…`` with features min-max scaled
     to [0, 1]. Shared by ZeroER and by every baseline so Table 3 compares
-    methods on identical inputs (the paper's protocol). ``raw`` is the cached
-    model-tagged raw feature frame the three are projected from, when
-    :func:`featurize` built the task.
+    methods on identical inputs (the paper's protocol). ``matrices`` holds
+    each model's (ids, X) as numpy arrays sorted by (l_id, r_id), when
+    :func:`featurize` built the task; the DataFrames are built from them.
     """
 
     ds: ERDataset
@@ -49,13 +51,19 @@ class FeaturizedTask:
     cross: DataFrame
     left: DataFrame | None = None
     right: DataFrame | None = None
-    raw: DataFrame | None = None
+    matrices: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def unpersist(self) -> None:
-        """Release every cached DataFrame this task holds."""
-        for df in (self.cross, self.left, self.right, self.raw):
+        """Release the caches a caller put on this task's DataFrames."""
+        for df in (self.cross, self.left, self.right):
             if df is not None:
                 df.unpersist()
+
+
+def _view(spark: SparkSession, ids: np.ndarray, X: np.ndarray, cols: list[str]) -> DataFrame:
+    """``l_id long, r_id long, <cols> double`` from a model's matrices, via Arrow."""
+    columns = [ids[:, 0], ids[:, 1], *X.T]
+    return spark.createDataFrame(pa.table(columns, names=["l_id", "r_id", *cols]))
 
 
 def featurize(
@@ -70,12 +78,11 @@ def featurize(
 
     Every model (cross, and with ``include_intra`` left and right) goes
     through one model-tagged Spark program: one blocking program for all
-    models' candidate pairs, one join with a side-tagged attribute table, one
-    ``mapInPandas`` kernel pass, and one aggregation grouped by model that
-    fits each model's scaler. The raw features are cached before that
-    aggregation, which fills the cache, so the similarity kernels run exactly
-    once per pair. Each model's frame is its scaler's projection of its slice
-    of that cache; :meth:`FeaturizedTask.unpersist` releases it.
+    models' candidate pairs, one join with a side-tagged attribute table and
+    one ``mapInPandas`` kernel pass, collected in one ``toArrow()``. On the
+    driver, each model's matrix is scaled by a :class:`Scaler` fitted on it,
+    and the DataFrame views are built from the scaled matrices; nothing is
+    cached.
     """
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
@@ -84,15 +91,16 @@ def featurize(
         ds.left, ds.right, ds.blocking_attr, models,
         max_df_frac=max_df_frac, min_overlap=min_overlap,
     )
-    pa = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
-    raw = compute_features(pa, plan, ds.attr_types).cache()
-    scalers = fit_scalers(raw, cols, models)
-    scaled = {
-        m: scalers[m].transform(raw.where(f"model = '{m}'")).drop("model") for m in models
+    joined = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
+    table = compute_features(joined, plan, ds.attr_types).toArrow()
+    matrices = {
+        m: (ids, Scaler.fit(X, cols).transform(X))
+        for m, (ids, X) in model_matrices(table, cols, models).items()
     }
+    views = {m: _view(spark, ids, X, cols) for m, (ids, X) in matrices.items()}
     return FeaturizedTask(
-        ds=ds, cols=cols, groups=group_ids(plan), cross=scaled["c"],
-        left=scaled.get("l"), right=scaled.get("r"), raw=raw,
+        ds=ds, cols=cols, groups=group_ids(plan), cross=views["c"],
+        left=views.get("l"), right=views.get("r"), matrices=matrices,
     )
 
 
@@ -269,8 +277,9 @@ def run_zeroer(
 
     ``transitivity='constraint'`` is Algorithm 2 (requires ``task.left/right``),
     ``'none'`` is Algorithm 1, ``'post'`` is Algorithm 1 + duplicate-free
-    one-to-one post-processing (the Table 5 ablation). The models' scaled
-    features reach the driver in one Arrow transfer
+    one-to-one post-processing (the Table 5 ablation). The backends are built
+    from ``task.matrices``, so a featurized task runs no Spark job here; a
+    task built from DataFrames alone is collected in one Arrow transfer
     (:meth:`NumpyBackend.from_spark`). A model without candidate pairs is not
     fitted: an empty intra model leaves its pairs blocked out (γ = 0), and an
     empty cross model yields no predictions.
@@ -282,7 +291,10 @@ def run_zeroer(
         if task.left is None or task.right is None:
             raise ValueError("transitivity='constraint' needs featurize(include_intra=True)")
         frames.update(l=task.left, r=task.right)
-    collected = NumpyBackend.from_spark(frames, task.cols)
+    if task.matrices is None:
+        collected = NumpyBackend.from_spark(frames, task.cols)
+    else:
+        collected = {m: NumpyBackend(*task.matrices[m]) for m in frames}
     cb = collected["c"]
     backends = {m: b for m, b in collected.items() if b.n}
 

@@ -303,7 +303,7 @@ def test_featurize_equals_per_model_chains(few_partitions, task_fz):
 def test_featurize_cross_only_equals_reference(few_partitions, task_ds):
     """``include_intra=False`` builds the cross model alone."""
     assert task_ds.left is None and task_ds.right is None
-    assert set(task_ds.raw.select("model").distinct().toPandas().model) == {"c"}
+    assert set(task_ds.matrices) == {"c"}
     assert_task_equals_reference(task_ds, ("c",))
 
 
@@ -317,8 +317,31 @@ def test_featurize_single_tuple_table(spark, few_partitions, fz):
     ds = dataclasses.replace(fz, left=fz.left.where("_id = 0"))
     task = featurize(spark, ds, include_intra=True)
     assert task.left.count() == 0 and task.left.columns == task.cross.columns
+    assert task.left.dtypes == task.cross.dtypes
+    assert task.left.dtypes[:3] == [("l_id", "bigint"), ("r_id", "bigint"), (task.cols[0], "double")]
     assert_task_equals_reference(task, ("c", "r"))
+    assert_matrices_equal_views(task)
     task.unpersist()
+
+
+def assert_matrices_equal_views(task):
+    """The task's matrices are :meth:`NumpyBackend.from_spark` of its own
+    DataFrame views, bit for bit."""
+    from repro.core.em import NumpyBackend
+
+    views = {m: df for m, df in (("c", task.cross), ("l", task.left), ("r", task.right)) if df is not None}
+    got = NumpyBackend.from_spark(views, task.cols)
+    assert set(got) == set(task.matrices)
+    for m, (ids, X) in task.matrices.items():
+        np.testing.assert_array_equal(got[m].ids, ids, err_msg=m)
+        np.testing.assert_array_equal(got[m].X.view(np.uint64), X.view(np.uint64), err_msg=m)
+
+
+def test_featurize_matrices_equal_from_spark_of_views(task_fz, task_ds):
+    """``featurize`` and ``from_spark`` share one Arrow-to-matrices split:
+    collecting a task's views gives back the matrices it holds."""
+    assert_matrices_equal_views(task_fz)
+    assert_matrices_equal_views(task_ds)
 
 
 def test_pairs_with_attrs_equals_reference(spark, few_partitions, fz):

@@ -1,4 +1,10 @@
-"""Oracle + property tests for min-imputation + min-max scaling (repro.core.scaling)."""
+"""Oracle + property tests for min-imputation + min-max scaling (repro.core.scaling).
+
+``ref_fit_scalers`` and ``ref_transform`` are the reference: the scaler as
+Spark SQL over a model-tagged feature DataFrame (one aggregation grouped by
+model for the statistics, one ``selectExpr`` projection per model), which is
+what ``featurize`` ran before it scaled on the driver.
+"""
 from __future__ import annotations
 
 import math
@@ -6,9 +12,89 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
-from repro.core.scaling import fit_scaler, fit_scalers, scale_features
+from repro.blocking import block_models
+from repro.core.em import model_matrices
+from repro.core.scaling import Scaler, fit_scaler, scale_features
 from repro.oracle import assert_equivalent
+from repro.textsim import compute_features, feature_columns, feature_plan, model_pairs_with_attrs
+
+
+def _quote(name: str) -> str:
+    return "`" + name.replace("`", "``") + "`"
+
+
+def _double(x: float) -> str:
+    # A bare decimal literal would be a SQL DECIMAL; the repr parses back to
+    # the same double.
+    return f"CAST('{x!r}' AS DOUBLE)"
+
+
+def ref_fit_scalers(df: DataFrame, cols: list[str], models) -> dict[str, Scaler]:
+    """NaN/NULL-ignoring min and max of every feature per ``model`` of
+    ``df``, in one aggregation; a model without rows (or an all-missing
+    feature) is pinned to 0."""
+    aggs = []
+    for i, c in enumerate(cols):
+        clean = f"nanvl({_quote(c)}, CAST(NULL AS DOUBLE))"
+        aggs += [f"min({clean}) AS min_{i}", f"max({clean}) AS max_{i}"]
+    rows = df.groupBy("model").agg(F.expr(f"struct({', '.join(aggs)}) AS stats")).collect()
+    stats = {row["model"]: row["stats"] for row in rows}
+    pinned = lambda v: float(v) if v is not None else 0.0  # noqa: E731
+    out = {}
+    for m in models:
+        row = stats.get(m, (None,) * (2 * len(cols)))
+        out[m] = Scaler(
+            cols=list(cols),
+            min={c: pinned(row[2 * i]) for i, c in enumerate(cols)},
+            max={c: pinned(row[2 * i + 1]) for i, c in enumerate(cols)},
+        )
+    return out
+
+
+def ref_transform(sc: Scaler, df: DataFrame) -> DataFrame:
+    """Impute NaN/NULL at the minimum and min-max scale, as one projection."""
+    exprs = [_quote(c) for c in df.columns if c not in sc.cols]
+    for c in sc.cols:
+        lo, span = sc.min[c], sc.max[c] - sc.min[c]
+        if span > 0:
+            imputed = f"coalesce(nanvl({_quote(c)}, CAST(NULL AS DOUBLE)), {_double(lo)})"
+            scaled = f"({imputed} - {_double(lo)}) / {_double(span)}"
+        else:
+            scaled = _double(0.0)
+        exprs.append(f"{scaled} AS {_quote(c)}")
+    return df.selectExpr(*exprs)
+
+
+def ref_scaled_matrices(ds, models) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Model → (ids, X) sorted by (l_id, r_id): ``featurize``'s Spark program
+    up to the raw features, then the SQL reference scaler."""
+    plan = feature_plan(ds.attributes, ds.attr_types)
+    cols = feature_columns(plan)
+    pairs = block_models(ds.left, ds.right, ds.blocking_attr, models)
+    joined = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
+    raw = compute_features(joined, plan, ds.attr_types).cache()
+    scalers = ref_fit_scalers(raw, cols, models)
+    out = {}
+    for m in models:
+        pdf = ref_transform(scalers[m], raw.where(f"model = '{m}'")).toPandas()
+        pdf = pdf.sort_values(["l_id", "r_id"], ignore_index=True)
+        out[m] = (pdf[["l_id", "r_id"]].to_numpy(), pdf[cols].to_numpy(dtype=np.float64))
+    raw.unpersist()
+    return out
+
+
+def assert_matrices_equal_reference(task, models) -> None:
+    """The task holds exactly ``models``, each with the reference's pairs and
+    bit-identical scaled features."""
+    assert set(task.matrices) == set(models)
+    want = ref_scaled_matrices(task.ds, models)
+    for m in models:
+        ids, X = task.matrices[m]
+        np.testing.assert_array_equal(ids, want[m][0], err_msg=m)
+        np.testing.assert_array_equal(X.view(np.uint64), want[m][1].view(np.uint64), err_msg=m)
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +180,15 @@ def test_null_and_nan_both_imputed_at_min(spark):
     assert (sc.min["f"], sc.max["f"]) == (0.2, 1.0)
     assert sc.min["g"] == sc.max["g"] == 1.0  # constant among present values
     assert sc.min["h"] == sc.max["h"] == 0.0  # all missing: pinned
-    out = sc.transform(df).toPandas().sort_values("l_id")
+    out = scale_features(df, ["f", "g", "h"]).toPandas().sort_values("l_id")
     assert out["f"].tolist() == [0.0, 0.0, 0.0, (0.6 - 0.2) / (1.0 - 0.2), 1.0]
     assert out["g"].tolist() == [0.0] * 5
     assert out["h"].tolist() == [0.0] * 5
 
 
 def test_scaled_values_bit_identical_to_numpy(spark):
-    """Statistics that need 17 significant digits survive the SQL literals."""
+    """Statistics that need 17 significant digits survive the transfer: the
+    scaled values are the numpy formula's, bit for bit."""
     rng = np.random.default_rng(7)
     digits = lambda v: len(repr(v).lstrip("-0.").replace(".", ""))  # noqa: E731
     x = np.array([v for v in rng.uniform(0.1, 0.9, size=200).tolist() if digits(v) == 17][:40])
@@ -113,14 +200,48 @@ def test_scaled_values_bit_identical_to_numpy(spark):
 
 
 def test_fit_scalers_per_model_equal_single_model_fits(spark, feat_df):
-    """One grouped pass gives each model the statistics a fit over its own
-    rows gives; a model without rows has every feature pinned to 0."""
+    """A scaler fitted on each model's matrix has the statistics the
+    reference's one grouped aggregation gives that model; a model without
+    rows has every feature pinned to 0 and scales to a (0, d) matrix."""
     tagged = feat_df.selectExpr("IF(l_id % 3 = 0, 'c', 'r') AS model", "*")
     cols = ["f1", "f2", "f3"]
-    got = fit_scalers(tagged, cols, ["c", "l", "r"])
-    for m in ("c", "r"):
-        assert got[m] == fit_scaler(feat_df.where(f"IF(l_id % 3 = 0, 'c', 'r') = '{m}'"), cols)
-    assert got["l"].min == got["l"].max == {c: 0.0 for c in cols}
-    empty = tagged.where("model = 'l'")
-    out = got["l"].transform(empty)
-    assert out.count() == 0 and out.columns == tagged.columns
+    want = ref_fit_scalers(tagged, cols, ["c", "l", "r"])
+    got = model_matrices(tagged.toArrow(), cols, ["c", "l", "r"])
+    for m, (_, X) in got.items():
+        assert Scaler.fit(X, cols) == want[m]
+        assert Scaler.fit(X, cols) == fit_scaler(tagged.where(f"model = '{m}'"), cols)
+    assert want["l"].min == want["l"].max == {c: 0.0 for c in cols}
+    assert Scaler.fit(got["l"][1], cols).transform(got["l"][1]).shape == (0, 3)
+
+
+def test_scaler_matches_sql_reference_on_random_rows(spark):
+    """Random features with NaN, NULL, constant and all-missing columns:
+    numpy and the SQL reference agree bit for bit."""
+    rng = np.random.default_rng(11)
+    n = 300
+    vals = rng.uniform(-1.0, 3.0, size=(n, 4))
+    vals[rng.uniform(size=(n, 4)) < 0.2] = math.nan
+    vals[:, 2] = 0.7
+    vals[:, 3] = math.nan
+    rows = [
+        (i, *[None if (j == 0 and i % 7 == 0) else float(v) for j, v in enumerate(r)])
+        for i, r in enumerate(vals.tolist())
+    ]
+    df = spark.createDataFrame(rows, "l_id long, a double, b double, c double, d double")
+    cols = ["a", "b", "c", "d"]
+    sc = ref_fit_scalers(df.selectExpr("'' AS model", "*"), cols, [""])[""]
+    X = model_matrices(df.selectExpr("'' AS model", "l_id", "0L AS r_id", *cols).toArrow(), cols, [""])[""][1]
+    assert Scaler.fit(X, cols) == sc
+    want = ref_transform(sc, df).toPandas().sort_values("l_id")[cols].to_numpy(dtype=np.float64)
+    np.testing.assert_array_equal(sc.transform(X).view(np.uint64), want.view(np.uint64))
+
+
+def test_featurize_fz_matches_sql_reference(few_partitions, task_fz):
+    """All three models of featurized FZ, scaled on the driver, equal the
+    SQL reference bit for bit."""
+    assert_matrices_equal_reference(task_fz, ("c", "l", "r"))
+
+
+def test_featurize_ds_matches_sql_reference(few_partitions, task_ds):
+    """Featurized DS (cross model only) equals the SQL reference."""
+    assert_matrices_equal_reference(task_ds, ("c",))

@@ -11,6 +11,7 @@ from repro.core.em import EMConfig
 from repro.core.variants import VARIANTS
 from repro.core.zeroer import _postprocess_one_to_one, featurize, run_zeroer
 from repro.eval import evaluate
+from tests.test_scaling import assert_matrices_equal_reference
 
 
 def test_featurize_shapes(task_fz, fz):
@@ -67,6 +68,17 @@ def test_zeroer_constraint_requires_intra(spark, task_ds):
         run_zeroer(task_ds.cross.sparkSession, task_ds, transitivity="constraint")
 
 
+def _without(task, view: str):
+    """``task`` with the model of ``view`` ("cross", "left" or "right") left
+    without pairs, in its matrices and in its DataFrame view alike."""
+    ids, X = task.matrices[view[0]]
+    return dataclasses.replace(
+        task,
+        matrices={**task.matrices, view[0]: (ids[:0], X[:0])},
+        **{view: getattr(task, view).limit(0)},
+    )
+
+
 @pytest.mark.parametrize(
     "empty, transitivity", [("left", "constraint"), ("cross", "constraint"), ("cross", "none")]
 )
@@ -74,7 +86,7 @@ def test_zeroer_empty_model(spark, fz, task_fz, empty, transitivity):
     """Blocking yields no pairs when no two tuples share a rare token. An
     empty intra model is left out of EM (its pairs stay blocked out, γ = 0);
     an empty cross model gives no candidates and no predictions."""
-    task = dataclasses.replace(task_fz, **{empty: getattr(task_fz, empty).limit(0)})
+    task = _without(task_fz, empty)
     res = run_zeroer(spark, task, transitivity=transitivity)
     if empty == "cross":
         assert res.n_candidates == 0 and res.n_iterations == 0
@@ -100,44 +112,79 @@ def test_zeroer_all_missing_attribute(spark, fz):
     assert addr_cols
     for df in (task.cross, task.left, task.right):
         assert (df.select(*addr_cols).toPandas().to_numpy() == 0.0).all()
+    assert_matrices_equal_reference(task, ("c", "l", "r"))
     res = run_zeroer(spark, task, transitivity="constraint")
     assert np.isfinite(res.posteriors["gamma"].to_numpy()).all()
     assert evaluate(res.predictions, ds.matches).f1 >= 0.9
     task.unpersist()
 
 
+def _jobs(spark, group: str, fn):
+    """(fn's result, ids of the Spark jobs it ran), counted with adaptive
+    execution off, which would add a job per shuffle stage."""
+    sc = spark.sparkContext
+    saved = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        spark.conf.set("spark.sql.adaptive.enabled", saved)
+    return out, sc.statusTracker().getJobIdsForGroup(group)
+
+
 def test_algorithm2_spark_job_count(spark, few_partitions):
     """featurize(include_intra) + run_zeroer("constraint") + evaluate runs
-    four Spark jobs: the blocking's table counts, the grouped scaler
-    aggregation (which also fills the raw-feature cache), the one Arrow
-    collect of all three models, and the evaluation. Counted with adaptive
-    execution off, which would add a job per shuffle stage; a chain of jobs
-    per model ran 16. The count does not depend on the partition count.
-
-    The FZ tables come from a seed no fixture uses: Spark caches by plan, so
-    featurizing a fixture's dataset again would share (and, on unpersist,
-    drop) the fixture task's cache."""
+    three Spark jobs: the blocking's table counts, the one Arrow collect of
+    all three models' features, and the evaluation. Scaling and EM run on
+    the driver; a chain of jobs per model ran 16. The count does not depend
+    on the partition count."""
     from repro.erdata import fodors_zagats
 
     fz = fodors_zagats(spark, scale=0.3, seed=12)
     fz.counts()  # the input tables' caches are filled outside the count
-    sc = spark.sparkContext
-    saved = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
-    sc.setJobGroup("test_algorithm2_spark_job_count", "job count")
-    try:
+
+    def algorithm2():
         task = featurize(spark, fz, include_intra=True)
         res = run_zeroer(spark, task, transitivity="constraint")
-        prf = evaluate(res.predictions, fz.matches)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        spark.conf.set("spark.sql.adaptive.enabled", saved)
-    jobs = sc.statusTracker().getJobIdsForGroup("test_algorithm2_spark_job_count")
-    task.unpersist()
+        return evaluate(res.predictions, fz.matches)
+
+    prf, jobs = _jobs(spark, "test_algorithm2_spark_job_count", algorithm2)
     for df in (fz.left, fz.right, fz.matches):
         df.unpersist()
     assert prf.f1 >= 0.9
-    assert len(jobs) == 4
+    assert len(jobs) == 3
+
+
+def test_run_zeroer_runs_no_spark_job(spark, task_fz):
+    """A featurized task carries its scaled matrices: run_zeroer builds its
+    backends from them and runs EM and the predictions frame without a job."""
+    res, jobs = _jobs(
+        spark, "test_run_zeroer_runs_no_spark_job",
+        lambda: run_zeroer(spark, task_fz, transitivity="constraint"),
+    )
+    assert res.n_iterations > 0 and len(jobs) == 0
+
+
+def test_featurize_twice_then_unpersist_first(spark, few_partitions, fz, task_fz):
+    """Two tasks of one dataset share nothing: unpersisting one leaves the
+    other's views and posteriors as they were, and featurize leaves no
+    persistent RDD behind."""
+    sc = spark.sparkContext
+    before = set(sc._jsc.getPersistentRDDs().keySet())
+    first = featurize(spark, fz, include_intra=True)
+    second = featurize(spark, fz, include_intra=True)
+    assert set(sc._jsc.getPersistentRDDs().keySet()) == before
+    frames = (second.cross, second.left, second.right)
+    views = [df.toPandas() for df in frames]
+    post = run_zeroer(spark, second, transitivity="constraint").posteriors
+    first.unpersist()
+    for df, view in zip(frames, views):
+        pd.testing.assert_frame_equal(df.toPandas(), view)
+    pd.testing.assert_frame_equal(run_zeroer(spark, second, transitivity="constraint").posteriors, post)
+    want = run_zeroer(spark, task_fz, transitivity="constraint").posteriors
+    pd.testing.assert_frame_equal(post, want)
 
 
 def test_postprocess_one_to_one_keeps_best():
