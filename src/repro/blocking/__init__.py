@@ -4,5 +4,4 @@ from repro.blocking.token_blocking import (  # noqa: F401
     block_models,
     cross_block,
     self_block,
-    token_table,
 )

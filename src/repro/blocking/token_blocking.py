@@ -1,4 +1,4 @@
-"""Shared-rare-token blocking as a pure Spark dataflow.
+"""Shared-rare-token blocking as one Spark SQL statement.
 
 Two records become a candidate pair iff their blocking attribute shares at
 least ``min_overlap`` word tokens that are not stop-tokens. ``min_overlap``
@@ -12,13 +12,17 @@ df_a + df_b, exceeds ``max(20, max_df_frac · (|a| + |b|))``. So the cross
 model caps df_T + df_T' at f·(|T| + |T'|), and the left model caps 2·df_T at
 f·2|T| (a self-join counts each record on both sides).
 
-:func:`block_models` builds the pairs of any set of models as one Spark
-program: one side-tagged token table of T ∪ T', one ``groupBy(token)`` for
-(df_T, df_T'), one self-join on ``token`` keeping side_a ≤ side_b under each
-model's own stop-token rule (and l_id < r_id within a side), and one
-``groupBy(model, l_id, r_id)`` for the overlap filter. :func:`cross_block` and
-:func:`self_block` are its single-model cases. The only other Spark job is
-the one that counts the tables' records for the caps.
+:func:`block_models` builds the pairs of any set of models, and optionally
+attaches both records' attributes to them, in one parameterized ``spark.sql``
+statement: side-tagged records explode into their distinct lowercase word
+tokens, each token row carrying its record's attributes; df_T and df_T' are
+window counts over the token; each model gets one rarity flag; one self-join
+on ``token`` pairs the token rows under each model's rule; and one
+``GROUP BY model, l_id, r_id`` keeps the pairs sharing ``min_overlap`` tokens.
+Its plan has one join and two shuffles (by token, by pair). The only other
+Spark job is the one that counts the tables' records for the caps.
+:func:`cross_block` and :func:`self_block` are its single-model cases
+without attributes.
 """
 from __future__ import annotations
 
@@ -26,22 +30,13 @@ import functools
 import math
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 # Model code → (side of l_id, side of r_id); side 0 is T, side 1 is T'.
 MODEL_SIDES = {"c": (0, 1), "l": (0, 0), "r": (1, 1)}
 
 
-def _tokens(df: DataFrame, attr: str) -> DataFrame:
-    """Distinct (<df's other columns>, token) rows of lowercase word tokens."""
-    keys = [c for c in df.columns if c != attr]
-    split = f"explode(split(lower(CAST(`{attr}` AS STRING)), '[^a-z0-9]+')) AS token"
-    return df.selectExpr(*keys, split).where("token != ''").distinct()
-
-
-def token_table(df: DataFrame, attr: str, id_alias: str) -> DataFrame:
-    """(_id, attr) → distinct (id_alias, token) rows of lowercase word tokens."""
-    return _tokens(df.selectExpr(f"_id AS {id_alias}", f"`{attr}`"), attr)
+def _quote(name: str) -> str:
+    return "`" + name.replace("`", "``") + "`"
 
 
 def _sizes(tables: list[DataFrame]) -> list[int]:
@@ -56,56 +51,79 @@ def block_models(
     right: DataFrame,
     attr: str,
     models: tuple[str, ...],
+    attributes: tuple[str, ...] | list[str] = (),
     *,
     max_df_frac: float = 0.05,
     min_overlap: int = 1,
 ) -> DataFrame:
-    """Candidate (model, l_id, r_id) pairs of every model in ``models``.
+    """Candidate pairs of every model in ``models``, with both records'
+    ``attributes``.
 
     ``left`` is T (side 0) and ``right`` is T' (side 1); a table no requested
-    model pairs is not read. Intra-table pairs have l_id < r_id.
+    model pairs is not read. Intra-table pairs have l_id < r_id. Output
+    columns: ``model, l_id, r_id, l_<attr>…, r_<attr>…``, each attribute in
+    its table's type.
+
+    A record's tokens are counted once each, and a record whose blocking
+    value is NULL has no tokens (so no pairs) but still counts in its table's
+    size. Each pair's attributes are taken with ``any_value`` over the pair's
+    shared-token rows. That is exact because ``_id`` is unique per table (as
+    ``erdata.generators._finish`` assigns it): every row of a (model, l_id,
+    r_id) group carries the same two records.
     """
-    tables = (left, right)
-    sides = sorted({s for m in models for s in MODEL_SIDES[m]})
-    size = dict(zip(sides, _sizes([tables[s] for s in sides])))
-    recs = functools.reduce(
-        DataFrame.unionAll,
-        [tables[s].selectExpr(f"{s} AS side", "_id AS id", f"`{attr}`") for s in sides],
+    pairing = {m: MODEL_SIDES[m] for m in models}
+    sides = sorted({s for pair in pairing.values() for s in pair})
+    tables = {f"t{s}": (left, right)[s] for s in sides}
+    size = dict(zip(sides, _sizes(list(tables.values()))))
+    # df is an integer, so df <= cap iff df <= floor(cap).
+    caps = {
+        f"cap_{m}": math.floor(max(20.0, max_df_frac * (size[a] + size[b])))
+        for m, (a, b) in pairing.items()
+    }
+    carried = [f"v{i}" for i in range(len(attributes))]
+    carry = "".join(f", {v}" for v in carried)
+    recs = " UNION ALL ".join(
+        f"SELECT {s} AS side, _id AS id, CAST({_quote(attr)} AS STRING) AS text"
+        + "".join(f", {_quote(a)} AS {v}" for a, v in zip(attributes, carried))
+        + f" FROM {{t{s}}}"
+        for s in sides
     )
-    tokens = _tokens(recs, attr)
-    dfs = tokens.groupBy("token").agg(
-        F.expr("count_if(side = 0) AS df0"), F.expr("count_if(side = 1) AS df1")
-    )
-
-    def rare(m: str) -> str:
-        # df is an integer, so df <= cap iff df <= floor(cap).
-        a, b = MODEL_SIDES[m]
-        cap = math.floor(max(20.0, max_df_frac * (size[a] + size[b])))
-        return f"df{a} + df{b} <= {cap}"
-
+    flags = "".join(f", df{a} + df{b} <= :cap_{m} AS rare_{m}" for m, (a, b) in pairing.items())
     # Keep a token row only if the token is rare for some model on its side.
-    keep = " OR ".join(f"(side IN {MODEL_SIDES[m]} AND {rare(m)})" for m in models)
-    rows = tokens.join(dfs, "token").where(keep)
-    a = rows.selectExpr("token", "side AS sa", "id AS l_id", "df0", "df1")
-    b = rows.selectExpr("token", "side AS sb", "id AS r_id")
-
-    def pair(m: str) -> str:
-        sa, sb = MODEL_SIDES[m]
-        within = " AND l_id < r_id" if sa == sb else ""
-        return f"(sa = {sa} AND sb = {sb} AND {rare(m)}{within})"
-
-    model = "CASE " + " ".join(
-        f"WHEN sa = {sa} AND sb = {sb} THEN '{m}'" for m, (sa, sb) in MODEL_SIDES.items()
-    ) + " END AS model"
-    return (
-        a.join(b, "token")
-        .where(" OR ".join(pair(m) for m in models))
-        .selectExpr(model, "l_id", "r_id")
-        .groupBy("model", "l_id", "r_id")
-        .count()
-        .where(f"count >= {int(min_overlap)}")
-        .select("model", "l_id", "r_id")
+    keep = " OR ".join(f"(side IN {pair} AND rare_{m})" for m, pair in pairing.items())
+    joined = " OR ".join(
+        f"(a.side = {a} AND b.side = {b} AND a.rare_{m}{' AND a.id < b.id' if a == b else ''})"
+        for m, (a, b) in pairing.items()
     )
+    model = " ".join(
+        f"WHEN a.side = {a} AND b.side = {b} THEN '{m}'" for m, (a, b) in pairing.items()
+    )
+    attrs = "".join(
+        f", any_value({p}.{v}) AS {_quote(f'{side}_{a}')}"
+        for side, p in (("l", "a"), ("r", "b"))
+        for a, v in zip(attributes, carried)
+    )
+    sql = f"""
+    WITH tokens AS (
+      SELECT side, id{carry}, token
+      FROM ({recs})
+      LATERAL VIEW explode(array_distinct(split(lower(text), '[^a-z0-9]+'))) AS token
+      WHERE token != ''
+    ), counted AS (
+      SELECT *, count_if(side = 0) OVER w AS df0, count_if(side = 1) OVER w AS df1
+      FROM tokens WINDOW w AS (PARTITION BY token)
+    ), flagged AS (
+      SELECT side, id{carry}, token{flags} FROM counted
+    ), kept AS (
+      SELECT * FROM flagged WHERE {keep}
+    )
+    SELECT CASE {model} END AS model, a.id AS l_id, b.id AS r_id{attrs}
+    FROM kept a JOIN kept b ON a.token = b.token
+    WHERE {joined}
+    GROUP BY model, a.id, b.id
+    HAVING count(*) >= :min_overlap
+    """
+    return left.sparkSession.sql(sql, args={**caps, "min_overlap": int(min_overlap)}, **tables)
 
 
 def cross_block(

@@ -1,12 +1,12 @@
 """End-to-end ZeroER (Algorithm 2) plus the featurization shared with baselines.
 
-Pipeline: blocking (Spark joins) → Magellan-style features (mapInPandas) →
-one Arrow transfer to the driver → impute at the minimum + min-max scale
-(numpy, per model) → joint EM on the driver over three linked models (cross
-T×T', left T×T, right T'×T') with transitivity posterior constraints resolved
-every E-step → pairs with γ > 0.5. The Spark part is one program for all
-three models, each row tagged with its model; after its transfer, EM runs no
-Spark job.
+Pipeline: blocking that carries each pair's attributes (one Spark SQL
+statement) → Magellan-style features (mapInPandas) → one Arrow transfer to
+the driver → impute at the minimum + min-max scale (numpy, per model) →
+joint EM on the driver over three linked models (cross T×T', left T×T,
+right T'×T') with transitivity posterior constraints resolved every E-step
+→ pairs with γ > 0.5. The Spark part is one program for all three models,
+each row tagged with its model; after its transfer, EM runs no Spark job.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from repro.textsim import (
     feature_columns,
     feature_plan,
     group_ids,
-    model_pairs_with_attrs,
 )
 
 
@@ -77,22 +76,21 @@ def featurize(
     """Run blocking + feature generation + scaling for a dataset.
 
     Every model (cross, and with ``include_intra`` left and right) goes
-    through one model-tagged Spark program: one blocking program for all
-    models' candidate pairs, one join with a side-tagged attribute table and
-    one ``mapInPandas`` kernel pass, collected in one ``toArrow()``. On the
-    driver, each model's matrix is scaled by a :class:`Scaler` fitted on it,
-    and the DataFrame views are built from the scaled matrices; nothing is
-    cached.
+    through one model-tagged Spark program: :func:`block_models` builds all
+    models' candidate pairs with both records' ``ds.attributes`` (one join,
+    two shuffles), and one ``mapInPandas`` kernel pass over them is collected
+    in one ``toArrow()``. On the driver, each model's matrix is scaled by a
+    :class:`Scaler` fitted on it, and the DataFrame views are built from the
+    scaled matrices; nothing is cached.
     """
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
     models = tuple(MODEL_SIDES) if include_intra else ("c",)
     pairs = block_models(
-        ds.left, ds.right, ds.blocking_attr, models,
+        ds.left, ds.right, ds.blocking_attr, models, ds.attributes,
         max_df_frac=max_df_frac, min_overlap=min_overlap,
     )
-    joined = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
-    table = compute_features(joined, plan, ds.attr_types).toArrow()
+    table = compute_features(pairs, plan, ds.attr_types).toArrow()
     matrices = {
         m: (ids, Scaler.fit(X, cols).transform(X))
         for m, (ids, X) in model_matrices(table, cols, models).items()

@@ -11,6 +11,5 @@ from repro.textsim.features import (  # noqa: F401
     feature_columns,
     feature_plan,
     group_ids,
-    model_pairs_with_attrs,
     pairs_with_attrs,
 )

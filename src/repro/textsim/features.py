@@ -5,12 +5,13 @@ on its declared type (mirroring Magellan's type-driven feature factory); all
 features of one attribute share a *group id*, which is exactly the grouping
 ZeroER's block-diagonal covariance consumes (§3.1 of the paper).
 
-``model_pairs_with_attrs`` joins the model-tagged candidate pairs of all of
-ZeroER's models with one side-tagged attribute table, and ``compute_features``
-evaluates the plan over them in one distributed ``mapInPandas`` pass, the
-model tag passing through. ``pairs_with_attrs`` is the single-model case.
-Within each Arrow batch, every distinct value of an attribute is normalized
-and tokenized once, and every distinct *ordered* (l_value, r_value) pair is
+``compute_features`` evaluates the plan in one distributed ``mapInPandas``
+pass over pairs that carry both records' attributes: the candidate pairs of
+:func:`repro.blocking.block_models`, which arrive with their attributes and
+model tag, or a pair set that ``pairs_with_attrs`` joins with its two
+tables. Columns other than the attribute inputs pass through. Within each
+Arrow batch, every distinct value of an attribute is normalized and
+tokenized once, and every distinct *ordered* (l_value, r_value) pair is
 evaluated once: the group's kernels run on the pair and their row of values
 is reused by every repeat of it in the batch. The string kernels are the
 bit-parallel Levenshtein and the ``str.find`` Jaro of :mod:`repro.textsim.sim`.
@@ -30,7 +31,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, StructField, StructType
 
-from repro.blocking import MODEL_SIDES
 from repro.textsim import sim, tokenize
 
 _KINDS_BY_TYPE: dict[str, list[str]] = {
@@ -75,55 +75,23 @@ def group_ids(plan: list[Feature]) -> np.ndarray:
     return np.asarray([f.group for f in plan], dtype=np.int64)
 
 
-def model_pairs_with_attrs(
-    pairs: DataFrame, left: DataFrame, right: DataFrame, attributes: list[str]
-) -> DataFrame:
-    """Join model-tagged (model, l_id, r_id) pairs with their tuples' attributes.
-
-    Each model reads its ids from the sides :data:`MODEL_SIDES` gives it
-    (side 0 is ``left``, side 1 is ``right``), so every model's pairs meet
-    one side-tagged attribute table in one pair of joins. Output columns:
-    ``model, l_id, r_id, l_<attr>…, r_<attr>…``.
-    """
-    cols = [f"`{a}`" for a in attributes]
-    attrs = left.selectExpr("0 AS side", "_id", *cols).unionAll(
-        right.selectExpr("1 AS side", "_id", *cols)
-    )
-
-    def named(p: str) -> DataFrame:
-        return attrs.selectExpr(
-            f"side AS {p}_side", f"_id AS {p}_id", *[f"`{a}` AS `{p}_{a}`" for a in attributes]
-        )
-
-    def side(j: int) -> str:
-        return "CASE model " + " ".join(
-            f"WHEN '{m}' THEN {s[j]}" for m, s in MODEL_SIDES.items()
-        ) + " END"
-
-    tagged = pairs.selectExpr(
-        "model", "l_id", "r_id", f"{side(0)} AS l_side", f"{side(1)} AS r_side"
-    )
-    return (
-        tagged.join(named("l"), ["l_side", "l_id"])
-        .join(named("r"), ["r_side", "r_id"])
-        .selectExpr(
-            "model", "l_id", "r_id",
-            *[f"`l_{a}`" for a in attributes], *[f"`r_{a}`" for a in attributes],
-        )
-    )
-
-
 def pairs_with_attrs(
     pairs: DataFrame, left: DataFrame, right: DataFrame, attributes: list[str]
 ) -> DataFrame:
     """Join a (l_id, r_id) pair set with both sides' attributes.
 
-    Output columns: ``l_id, r_id, l_<attr>…, r_<attr>…``. The single-model
-    case of :func:`model_pairs_with_attrs` (a cross model over ``left`` ×
-    ``right``).
+    Output columns: ``l_id, r_id, l_<attr>…, r_<attr>…``. For pair sets that
+    do not come from blocking; :func:`repro.blocking.block_models` attaches
+    the attributes to the candidate pairs it builds.
     """
-    tagged = pairs.selectExpr("'c' AS model", "l_id", "r_id")
-    return model_pairs_with_attrs(tagged, left, right, attributes).drop("model")
+    lsel = left.selectExpr("_id AS l_id", *[f"`{a}` AS `l_{a}`" for a in attributes])
+    rsel = right.selectExpr("_id AS r_id", *[f"`{a}` AS `r_{a}`" for a in attributes])
+    return (
+        pairs.select("l_id", "r_id")
+        .join(lsel, "l_id")
+        .join(rsel, "r_id")
+        .select("l_id", "r_id", *lsel.columns[1:], *rsel.columns[1:])
+    )
 
 
 def _is_missing(v) -> bool:

@@ -1,18 +1,81 @@
-"""Oracle tests for token blocking: the Spark dataflow must equal the
-equivalent relational query run by DuckDB, and the model-tagged program must
-give every model the pairs of the per-model reference dataflows below."""
+"""Oracle tests for token blocking: the Spark statement must equal the
+equivalent relational query run by DuckDB, and the model-tagged statement must
+give every model the pairs of the reference dataflows below: one chain per
+model, and the model-tagged DataFrame program it replaced."""
 from __future__ import annotations
+
+import functools
+import math
 
 import pandas as pd
 import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import block_models, cross_block, self_block, token_table
+from repro.blocking import MODEL_SIDES, block_models, cross_block, self_block
+from repro.blocking.token_blocking import _sizes
 from repro.oracle import assert_equivalent
 
 
-# ------------------------------------------------ per-model reference dataflows
+# ------------------------------------------------------- reference dataflows
+def _tokens(df: DataFrame, attr: str) -> DataFrame:
+    """Distinct (<df's other columns>, token) rows of lowercase word tokens."""
+    keys = [c for c in df.columns if c != attr]
+    split = f"explode(split(lower(CAST(`{attr}` AS STRING)), '[^a-z0-9]+')) AS token"
+    return df.selectExpr(*keys, split).where("token != ''").distinct()
+
+
+def token_table(df: DataFrame, attr: str, id_alias: str) -> DataFrame:
+    """(_id, attr) → distinct (id_alias, token) rows of lowercase word tokens."""
+    return _tokens(df.selectExpr(f"_id AS {id_alias}", f"`{attr}`"), attr)
+
+
+def ref_block_models(left, right, attr, models, *, max_df_frac=0.05, min_overlap=1) -> DataFrame:
+    """Candidate (model, l_id, r_id) pairs as a DataFrame program: one
+    side-tagged token table, one ``groupBy(token)`` for (df_T, df_T'), the
+    token rows joined back onto it, one self-join on ``token`` and one
+    ``groupBy(model, l_id, r_id)``."""
+    tables = (left, right)
+    sides = sorted({s for m in models for s in MODEL_SIDES[m]})
+    size = dict(zip(sides, _sizes([tables[s] for s in sides])))
+    recs = functools.reduce(
+        DataFrame.unionAll,
+        [tables[s].selectExpr(f"{s} AS side", "_id AS id", f"`{attr}`") for s in sides],
+    )
+    tokens = _tokens(recs, attr)
+    dfs = tokens.groupBy("token").agg(
+        F.expr("count_if(side = 0) AS df0"), F.expr("count_if(side = 1) AS df1")
+    )
+
+    def rare(m: str) -> str:
+        a, b = MODEL_SIDES[m]
+        cap = math.floor(max(20.0, max_df_frac * (size[a] + size[b])))
+        return f"df{a} + df{b} <= {cap}"
+
+    keep = " OR ".join(f"(side IN {MODEL_SIDES[m]} AND {rare(m)})" for m in models)
+    rows = tokens.join(dfs, "token").where(keep)
+    a = rows.selectExpr("token", "side AS sa", "id AS l_id", "df0", "df1")
+    b = rows.selectExpr("token", "side AS sb", "id AS r_id")
+
+    def pair(m: str) -> str:
+        sa, sb = MODEL_SIDES[m]
+        within = " AND l_id < r_id" if sa == sb else ""
+        return f"(sa = {sa} AND sb = {sb} AND {rare(m)}{within})"
+
+    model = "CASE " + " ".join(
+        f"WHEN sa = {sa} AND sb = {sb} THEN '{m}'" for m, (sa, sb) in MODEL_SIDES.items()
+    ) + " END AS model"
+    return (
+        a.join(b, "token")
+        .where(" OR ".join(pair(m) for m in models))
+        .selectExpr(model, "l_id", "r_id")
+        .groupBy("model", "l_id", "r_id")
+        .count()
+        .where(f"count >= {int(min_overlap)}")
+        .select("model", "l_id", "r_id")
+    )
+
+
 def _ref_rare_tokens(lt: DataFrame, rt: DataFrame, n_records: int, max_df_frac: float) -> DataFrame:
     cap = max(20.0, max_df_frac * n_records)
     df_counts = lt.select("token").unionAll(rt.select("token")).groupBy("token").count()
@@ -94,17 +157,20 @@ def tables(spark):
 
 
 def test_token_table_normalizes(spark, tables):
-    left, _ = tables
-    toks = token_table(left, "name", "l_id").toPandas()
-    assert set(toks.token) == {"alpha", "beta", "gamma", "delta", "omega"}
-    assert len(toks) == len(toks.drop_duplicates())
+    """Case and punctuation normalize to shared tokens: "ALPHA!" pairs with
+    the two T records that hold "alpha", and "alpha beta" with the T records
+    sharing either word."""
+    left, right = tables
+    got = model_sets(block_models(left, right, "name", ("c", "l"), max_df_frac=1.0), ("c", "l"))
+    assert {l for l, r in got["c"] if r == 1} == {0, 3}
+    assert {r for l, r in got["l"] if l == 0} == {1, 3}
 
 
 def test_token_table_handles_null(spark, tables):
-    _, right = tables
-    toks = token_table(right, "name", "r_id").toPandas()
-    assert set(toks[toks.r_id == 1].token) == {"alpha"}
-    assert (toks.r_id == 2).sum() == 0  # NULL attribute yields no tokens
+    """A NULL blocking value yields no tokens, so no pairs."""
+    left, right = tables
+    got = model_sets(block_models(left, right, "name", ("c",), max_df_frac=1.0), ("c",))
+    assert got["c"] and not any(r == 2 for _, r in got["c"])
 
 
 def test_cross_block_oracle(spark, tables):
@@ -184,13 +250,6 @@ def test_stop_token_cap_prunes(spark):
     )
     pairs = cross_block(left, right, "name", max_df_frac=0.05)
     assert pairs.count() == 0  # "common" alone would give n² pairs
-
-
-@pytest.fixture(scope="module")
-def ag_small(spark):
-    from repro.erdata import amazon_google
-
-    return amazon_google(spark, scale=0.05)
 
 
 @pytest.mark.parametrize("name", ["fz", "ds_dirty", "ag_small"])

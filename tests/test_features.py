@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.blocking import MODEL_SIDES, block_models
 from repro.core.scaling import scale_features
 from repro.textsim import (
     compute_features,
@@ -19,7 +20,7 @@ from repro.textsim import (
     tokenize,
 )
 from repro.textsim.features import _KINDS_BY_TYPE, _eval_group
-from tests.test_blocking import ref_cross_block, ref_self_block
+from tests.test_blocking import ref_block_models, ref_cross_block, ref_self_block
 from tests.test_sim import ref_jaro, ref_levenshtein
 
 ATTRS = ["name", "phone", "price"]
@@ -358,3 +359,128 @@ def test_pairs_with_attrs_equals_reference(spark, few_partitions, fz):
     b = want.select(cols).toPandas().sort_values(["l_id", "r_id"], ignore_index=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
+
+
+# ------------------------------- blocking that carries the attributes vs the
+# model-tagged pairs joined with a side-tagged attribute table
+def ref_model_pairs_with_attrs(pairs, left, right, attributes):
+    """Join model-tagged (model, l_id, r_id) pairs with their records'
+    attributes: each model reads its ids from the sides ``MODEL_SIDES`` gives
+    it, against one side-tagged attribute table, in one pair of joins."""
+    cols = [f"`{a}`" for a in attributes]
+    attrs = left.selectExpr("0 AS side", "_id", *cols).unionAll(
+        right.selectExpr("1 AS side", "_id", *cols)
+    )
+
+    def named(p):
+        return attrs.selectExpr(
+            f"side AS {p}_side", f"_id AS {p}_id", *[f"`{a}` AS `{p}_{a}`" for a in attributes]
+        )
+
+    def side(j):
+        return "CASE model " + " ".join(
+            f"WHEN '{m}' THEN {s[j]}" for m, s in MODEL_SIDES.items()
+        ) + " END"
+
+    tagged = pairs.selectExpr(
+        "model", "l_id", "r_id", f"{side(0)} AS l_side", f"{side(1)} AS r_side"
+    )
+    return (
+        tagged.join(named("l"), ["l_side", "l_id"])
+        .join(named("r"), ["r_side", "r_id"])
+        .selectExpr(
+            "model", "l_id", "r_id",
+            *[f"`l_{a}`" for a in attributes], *[f"`r_{a}`" for a in attributes],
+        )
+    )
+
+
+def assert_block_models_equal_reference(left, right, attr, models, attributes, **kw) -> pd.DataFrame:
+    """``block_models`` with attributes gives the reference's rows: the same
+    columns and types, the same (model, l_id, r_id) pairs and the same
+    attribute values, NULLs included. Returns its rows, sorted."""
+    got = block_models(left, right, attr, models, attributes, **kw)
+    pairs = ref_block_models(left, right, attr, models, **kw)
+    want = ref_model_pairs_with_attrs(pairs, left, right, attributes)
+    assert got.dtypes == want.dtypes
+    keys = ["model", "l_id", "r_id"]
+    a = got.toPandas().sort_values(keys, ignore_index=True)
+    b = want.toPandas().sort_values(keys, ignore_index=True)
+    pd.testing.assert_frame_equal(a, b)
+    return a
+
+
+@pytest.mark.parametrize("name", ["fz", "ds_dirty", "ag_small"])
+def test_block_models_with_attributes_equal_reference(spark, request, few_partitions, name):
+    ds = request.getfixturevalue(name)
+    for max_df_frac in (0.05, 1.0):
+        for min_overlap in (1, 2):
+            kw = dict(max_df_frac=max_df_frac, min_overlap=min_overlap)
+            rows = assert_block_models_equal_reference(
+                ds.left, ds.right, ds.blocking_attr, ("c", "l", "r"), ds.attributes, **kw
+            )
+            assert set(rows.model) == {"c", "l", "r"}, kw
+
+
+def _table(spark, names, **extra):
+    pdf = pd.DataFrame({"_id": pd.array(range(len(names)), dtype="int64"), "name": names, **extra})
+    return spark.createDataFrame(pdf)
+
+
+def test_block_models_repeated_token_counts_once(spark, few_partitions):
+    """A token repeated inside one value counts once: in the document
+    frequency (12 + 8 = 20 records is at the cap of 20, where 48
+    occurrences would make "x" a stop-token) and in the overlap."""
+    left = _table(spark, [f"x x l{i}" for i in range(12)])
+    right = _table(spark, [f"x x x r{i}" for i in range(8)])
+    rows = assert_block_models_equal_reference(left, right, "name", ("c",), ["name"])
+    assert len(rows) == 12 * 8
+    rows = assert_block_models_equal_reference(left, right, "name", ("c",), ["name"], min_overlap=2)
+    assert len(rows) == 0
+
+
+def test_block_models_null_blocking_value_counts_in_size(spark, few_partitions):
+    """A record whose blocking value is NULL gets no pairs but counts in |T|:
+    the 30 NULL records lift the cross cap to 0.5 · (41 + 11) = 26, so "k"
+    (df 22) stays rare; without them the cap would be max(20, 11) = 20."""
+    left = _table(spark, [f"k l{i}" for i in range(11)] + [None] * 30)
+    right = _table(spark, [f"k r{i}" for i in range(11)])
+    rows = assert_block_models_equal_reference(
+        left, right, "name", ("c", "l"), ["name"], max_df_frac=0.5
+    )
+    assert len(rows[rows.model == "c"]) == 11 * 11
+    assert rows.l_id.max() < 11 and rows.r_id.max() < 11
+    assert len(rows[rows.model == "l"]) == 11 * 10 // 2  # 2 · 11 = 22 ≤ 0.5 · 82
+
+
+def test_block_models_null_and_numeric_attributes(spark, few_partitions):
+    """A NULL non-blocking attribute comes through as NULL, and a numeric
+    attribute keeps its ``double`` type (NaN included)."""
+    left = _table(
+        spark, ["ab cd", "ab ef", "gh"],
+        city=["x", None, "y"], price=[1.5, math.nan, 3.0],
+    )
+    right = _table(spark, ["ab", "gh ij"], city=[None, "z"], price=[2.0, 4.0])
+    rows = assert_block_models_equal_reference(
+        left, right, "name", ("c", "l", "r"), ["name", "city", "price"]
+    )
+    got = block_models(left, right, "name", ("c",), ["name", "city", "price"])
+    assert dict(got.dtypes)["l_price"] == "double" and dict(got.dtypes)["r_price"] == "double"
+    row = rows[(rows.model == "c") & (rows.l_id == 1) & (rows.r_id == 0)].iloc[0]
+    assert row.l_city is None and row.r_city is None
+    assert math.isnan(row.l_price) and row.r_price == 2.0
+    assert set(zip(rows.model, rows.l_id, rows.r_id)) == {
+        ("c", 0, 0), ("c", 1, 0), ("c", 2, 1), ("l", 0, 1),
+    }
+
+
+def test_block_models_subset_with_empty_model(spark, few_partitions):
+    """Asking for a model that has no pairs (T's values share no token)
+    gives the other models' rows and keeps every column."""
+    left = _table(spark, ["ab", "cd", "ef"], price=[1.0, 2.0, 3.0])
+    right = _table(spark, ["ab cd", "cd", "ef ab"], price=[4.0, 5.0, 6.0])
+    for models in (("c", "l"), ("l",), ("l", "r")):
+        rows = assert_block_models_equal_reference(left, right, "name", models, ["price"])
+        assert "l" not in set(rows.model)
+        assert list(rows.columns) == ["model", "l_id", "r_id", "l_price", "r_price"]
+    assert set(zip(rows.l_id, rows.r_id)) == {(0, 1), (0, 2)}  # T' shares "cd", "ab"

@@ -19,7 +19,7 @@ from repro.blocking import block_models
 from repro.core.em import model_matrices
 from repro.core.scaling import Scaler, fit_scaler, scale_features
 from repro.oracle import assert_equivalent
-from repro.textsim import compute_features, feature_columns, feature_plan, model_pairs_with_attrs
+from repro.textsim import compute_features, feature_columns, feature_plan
 
 
 def _quote(name: str) -> str:
@@ -73,9 +73,8 @@ def ref_scaled_matrices(ds, models) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     up to the raw features, then the SQL reference scaler."""
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
-    pairs = block_models(ds.left, ds.right, ds.blocking_attr, models)
-    joined = model_pairs_with_attrs(pairs, ds.left, ds.right, ds.attributes)
-    raw = compute_features(joined, plan, ds.attr_types).cache()
+    pairs = block_models(ds.left, ds.right, ds.blocking_attr, models, ds.attributes)
+    raw = compute_features(pairs, plan, ds.attr_types).cache()
     scalers = ref_fit_scalers(raw, cols, models)
     out = {}
     for m in models:

@@ -1,6 +1,7 @@
 """End-to-end ZeroER tests on generated datasets (quality + mechanics)."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -119,19 +120,65 @@ def test_zeroer_all_missing_attribute(spark, fz):
     task.unpersist()
 
 
-def _jobs(spark, group: str, fn):
-    """(fn's result, ids of the Spark jobs it ran), counted with adaptive
-    execution off, which would add a job per shuffle stage."""
-    sc = spark.sparkContext
+@contextlib.contextmanager
+def _adaptive_off(spark):
+    """Adaptive execution off: it would add a job per shuffle stage, and it
+    plans each stage only when the stage runs."""
     saved = spark.conf.get("spark.sql.adaptive.enabled")
     spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try:
+        yield
+    finally:
+        spark.conf.set("spark.sql.adaptive.enabled", saved)
+
+
+def _jobs(spark, group: str, fn):
+    """(fn's result, ids of the Spark jobs it ran), counted with adaptive
+    execution off."""
+    sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
-        out = fn()
+        with _adaptive_off(spark):
+            out = fn()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-        spark.conf.set("spark.sql.adaptive.enabled", saved)
     return out, sc.statusTracker().getJobIdsForGroup(group)
+
+
+def _plan_nodes(df) -> list[str]:
+    """Node names of ``df``'s physical plan; a reused exchange is one leaf."""
+    todo, names = [df._jdf.queryExecution().executedPlan()], []
+    while todo:
+        node = todo.pop()
+        names.append(node.nodeName())
+        children = node.children()
+        todo.extend(children.apply(i) for i in range(children.size()))
+    return names
+
+
+def test_featurize_program_plans_one_join(spark, monkeypatch, few_partitions, fz):
+    """featurize's Spark program up to the kernels (the frame it hands to
+    ``compute_features``) plans one join and two shuffles: by token for the
+    document frequencies and the self-join, and by pair for the overlap
+    count. Blocking and the attribute joins as separate steps planned 5 joins
+    and 8 shuffles."""
+    from repro.core import zeroer
+
+    handed, compute_features = [], zeroer.compute_features
+
+    def spy(df, *args):
+        handed.append(df)
+        return compute_features(df, *args)
+
+    monkeypatch.setattr(zeroer, "compute_features", spy)
+    with _adaptive_off(spark):
+        task = featurize(spark, fz, include_intra=True)
+        (frame,) = handed
+        names = _plan_nodes(frame)
+    assert set(task.matrices) == {"c", "l", "r"}
+    assert frame.columns[:3] == ["model", "l_id", "r_id"]
+    assert sum("Join" in n or n == "CartesianProduct" for n in names) == 1, names
+    assert names.count("Exchange") == 2, names
 
 
 def test_algorithm2_spark_job_count(spark, few_partitions):
