@@ -21,7 +21,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.baselines import supervised
 from repro.core.scaling import scale_features
 from repro.erdata.generators import ERDataset
-from repro.eval import PRF
 from repro.textsim import pairs_with_attrs, sim, tokenize
 
 _STR_KINDS = ["tfcos", "jac_ws", "cont_l", "cont_r", "jac_qg2", "cos_qg2",
@@ -141,13 +140,3 @@ def dm_lite_f1(
     feat.unpersist()
     return run
 
-
-def dm_budget_f1(
-    spark: SparkSession, pairs: DataFrame, ds: ERDataset, n_labels: int, *, seed: int = 0
-) -> PRF:
-    """Table 4 protocol with the DM-lite representation."""
-    feat, cols = dm_features(pairs, ds)
-    feat = feat.cache()
-    prf = supervised.budget_f1("MLP", feat, cols, ds.matches, n_labels, seed=seed)
-    feat.unpersist()
-    return prf

@@ -27,8 +27,7 @@ from pyspark.sql import DataFrame
 from repro.core import gmm, regularization
 from repro.core.scaling import feature_matrix
 
-_GAMMA_CLIP = 1e-7
-_VAR_FLOOR = 1e-12
+GAMMA_CLIP = 1e-7  # γ is kept in [GAMMA_CLIP, 1 − GAMMA_CLIP]
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def gammas(logm: np.ndarray, logu: np.ndarray) -> np.ndarray:
     """Posterior P(y=M|x) from the class log-likelihoods (Eq. 3), clipped
     away from {0,1} so transitivity ratios and entropies stay finite."""
     g = 1.0 / (1.0 + np.exp(np.clip(logu - logm, -700, 700)))
-    return np.clip(g, _GAMMA_CLIP, 1.0 - _GAMMA_CLIP)
+    return np.clip(g, GAMMA_CLIP, 1.0 - GAMMA_CLIP)
 
 
 def stats_from_gamma(
@@ -123,25 +122,14 @@ def _encode_ids(ids: np.ndarray) -> np.ndarray:
 
 
 def apply_overrides(
-    ids: np.ndarray, gamma: np.ndarray, overrides: tuple[np.ndarray, np.ndarray] | None
+    gamma: np.ndarray, overrides: tuple[np.ndarray, np.ndarray] | None
 ) -> np.ndarray:
-    """Replace γ at the pairs adjusted by transitivity projection.
-
-    ``overrides`` is (keys, values): int64 ``_encode_ids`` keys of the
-    adjusted (l_id, r_id) pairs and their γ'. Vectorized via sorted-key
-    search: O(n log m) for m overrides (this runs twice per EM iteration per
-    model).
-    """
+    """γ with the transitivity projection's adjustments: ``overrides`` is
+    (rows, γ') of one model, and each listed row takes its γ'."""
     if overrides is None or not len(overrides[0]):
         return gamma
-    okeys, ovals = overrides
-    order = np.argsort(okeys)
-    okeys, ovals = okeys[order], ovals[order]
-    enc = _encode_ids(ids)
-    pos = np.clip(np.searchsorted(okeys, enc), 0, len(okeys) - 1)
-    hit = okeys[pos] == enc
     out = gamma.copy()
-    out[hit] = np.clip(ovals[pos[hit]], _GAMMA_CLIP, 1.0 - _GAMMA_CLIP)
+    out[overrides[0]] = overrides[1]
     return out
 
 
@@ -152,8 +140,8 @@ def build_params(stats: SuffStats, R: np.ndarray, groups: np.ndarray, config: EM
     pi_m = float(np.clip(stats.n_m / stats.n, 1e-6, 1.0 - 1e-6))
     mu_m = stats.s1_m / n_m
     mu_u = stats.s1_u / n_u
-    var_m = np.clip(stats.s2_m / n_m - mu_m**2, _VAR_FLOOR, None)
-    var_u = np.clip(stats.s2_u / n_u - mu_u**2, _VAR_FLOOR, None)
+    var_m = np.clip(stats.s2_m / n_m - mu_m**2, gmm.VAR_FLOOR, None)
+    var_u = np.clip(stats.s2_u / n_u - mu_u**2, gmm.VAR_FLOOR, None)
 
     if config.covariance == "grouped_shared_corr":
         Sigma_m = gmm.compose_covariance(np.sqrt(var_m), R)
@@ -210,7 +198,7 @@ class NumpyBackend:
         self.X = np.asarray(X, dtype=np.float64)
         self.n, self.d = self.X.shape
         self._cache_params: ModelParams | None = None
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -226,9 +214,11 @@ class NumpyBackend:
         table = functools.reduce(DataFrame.unionAll, tagged).toArrow()
         return {m: cls(ids, X) for m, (ids, X) in model_matrices(table, cols, frames).items()}
 
-    def _logliks(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    def _scores(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(γ, log π_M p(x|θ_M), log π_U p(x|θ_U)) per row under ``params``."""
         if self._cache_params is not params:
-            self._cache = class_logliks(self.X, params)
+            logm, logu = class_logliks(self.X, params)
+            self._cache = (gammas(logm, logu), logm, logu)
             self._cache_params = params
         return self._cache
 
@@ -248,45 +238,40 @@ class NumpyBackend:
     def suffstats(
         self, params: ModelParams, overrides: tuple[np.ndarray, np.ndarray] | None = None
     ) -> SuffStats:
-        logm, logu = self._logliks(params)
-        g = apply_overrides(self.ids, gammas(logm, logu), overrides)
-        return stats_from_gamma(self.X, g, logm, logu)
+        g, logm, logu = self._scores(params)
+        return stats_from_gamma(self.X, apply_overrides(g, overrides), logm, logu)
 
-    def match_candidates(self, params: ModelParams, thresh: float = 0.5) -> pd.DataFrame:
-        logm, logu = self._logliks(params)
-        g = gammas(logm, logu)
-        keep = g >= thresh
-        return pd.DataFrame(
-            {
-                "l_id": self.ids[keep, 0], "r_id": self.ids[keep, 1],
-                "gamma": g[keep], "logm": logm[keep], "logu": logu[keep],
-            }
-        )
+    def match_candidates(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, γ) of the rows with γ ≥ 0.5: the model's match set for Q'."""
+        g = self._scores(params)[0]
+        keep = g >= 0.5
+        return self.ids[keep], g[keep]
 
     def lookup(
         self, params: ModelParams, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(found, γ, log π_M p(x|θ_M), log π_U p(x|θ_U)) for int64
-        ``_encode_ids`` pair keys: ``found`` marks the keys that are candidate
-        pairs of this model, and the other three arrays hold their values.
-        A pair held by two rows resolves to the later one."""
+        """(rows, γ, log π_M p(x|θ_M), log π_U p(x|θ_U)) for int64
+        ``_encode_ids`` pair keys: ``rows`` holds each key's row, or −1 for a
+        key that is not a candidate pair of this model, and the other three
+        arrays hold the values of the rows found, in key order. A pair held
+        by two rows resolves to the later one."""
         if self._sorted_keys is None:
             enc = _encode_ids(self.ids)
             order = np.argsort(enc, kind="stable")
             self._sorted_keys = (enc[order], order)
         sorted_keys, order = self._sorted_keys
         pos = np.searchsorted(sorted_keys, keys, side="right") - 1
-        found = pos >= 0
-        found[found] = sorted_keys[pos[found]] == keys[found]
-        rows = order[pos[found]]
-        logm, logu = self._logliks(params)
-        return found, gammas(logm, logu)[rows], logm[rows], logu[rows]
+        hit = pos >= 0
+        hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+        rows = np.full(len(keys), -1, dtype=np.int64)
+        rows[hit] = order[pos[hit]]
+        found = rows[hit]
+        return (rows, *(v[found] for v in self._scores(params)))
 
     def posterior_vector(
         self, params: ModelParams, overrides: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
-        logm, logu = self._logliks(params)
-        return apply_overrides(self.ids, gammas(logm, logu), overrides)
+        return apply_overrides(self._scores(params)[0], overrides)
 
     def posteriors_pdf(self, gamma: np.ndarray) -> pd.DataFrame:
         return pd.DataFrame({"l_id": self.ids[:, 0], "r_id": self.ids[:, 1], "gamma": gamma})

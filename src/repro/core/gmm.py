@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_VAR_FLOOR = 1e-12
+VAR_FLOOR = 1e-12  # the smallest variance any estimate takes
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 
@@ -32,9 +32,9 @@ def block_correlation(s1: np.ndarray, s2_blocks: list[np.ndarray], n: float, gro
     mu = s1 / n
     for idx, s2 in zip(group_slices(groups), s2_blocks):
         cov = s2 / n - np.outer(mu[idx], mu[idx])
-        sd = np.sqrt(np.clip(np.diag(cov), _VAR_FLOOR, None))
+        sd = np.sqrt(np.clip(np.diag(cov), VAR_FLOOR, None))
         corr = cov / np.outer(sd, sd)
-        degenerate = np.diag(cov) <= _VAR_FLOOR
+        degenerate = np.diag(cov) <= VAR_FLOOR
         corr[degenerate, :] = 0.0
         corr[:, degenerate] = 0.0
         np.fill_diagonal(corr, 1.0)
@@ -59,11 +59,11 @@ def weighted_cov(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Used by the Table 1 harness (cosine(S_M, S_U) vs cosine(R_M, R_U) from
     ground truth) and by tests; the EM path never materializes full S.
     """
-    n = max(float(w.sum()), _VAR_FLOOR)
+    n = max(float(w.sum()), VAR_FLOOR)
     mu = (w @ X) / n
     Xc = X - mu
     S = (Xc * w[:, None]).T @ Xc / n
-    sd = np.sqrt(np.clip(np.diag(S), _VAR_FLOOR, None))
+    sd = np.sqrt(np.clip(np.diag(S), VAR_FLOOR, None))
     R = np.clip(S / np.outer(sd, sd), -1.0, 1.0)
     np.fill_diagonal(R, 1.0)
     return S, R
@@ -92,10 +92,10 @@ class BlockGaussian:
         logdet = 0.0
         for idx in group_slices(groups):
             block = Sigma[np.ix_(idx, idx)]
-            block = block + np.eye(len(idx)) * _VAR_FLOOR
+            block = block + np.eye(len(idx)) * VAR_FLOOR
             sign, ld = np.linalg.slogdet(block)
             if sign <= 0:  # numerically non-PD block: fall back to diagonal
-                block = np.diag(np.clip(np.diag(block), _VAR_FLOOR, None))
+                block = np.diag(np.clip(np.diag(block), VAR_FLOOR, None))
                 _, ld = np.linalg.slogdet(block)
             self._blocks.append((idx, np.linalg.inv(block), float(ld)))
             logdet += float(ld)

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_VAR_FLOOR = 1e-12
+from repro.core.gmm import VAR_FLOOR
 
 
 def bhattacharyya(
     var_m: np.ndarray, var_u: np.ndarray, mu_m: np.ndarray, mu_u: np.ndarray
 ) -> np.ndarray:
     """Per-feature Bhattacharyya coefficient of the M and U Gaussians (Eq. 10)."""
-    vm = np.clip(var_m, _VAR_FLOOR, None)
-    vu = np.clip(var_u, _VAR_FLOOR, None)
+    vm = np.clip(var_m, VAR_FLOOR, None)
+    vu = np.clip(var_u, VAR_FLOOR, None)
     ratio = 0.25 * (vm / vu + vu / vm + 2.0)
     dist = 0.25 * np.log(ratio) + 0.25 * (mu_m - mu_u) ** 2 / (vm + vu)
     return np.exp(-dist)
@@ -32,8 +32,8 @@ def bhattacharyya(
 def _bc_scalar(vm: float, vu: float, dmu2: float, kappa: float) -> float:
     # The Newton central difference may probe κ−h slightly below 0; clamp so
     # the variances stay positive and log() never sees a negative ratio.
-    a = max(vm + kappa, _VAR_FLOOR)
-    b = max(vu + kappa, _VAR_FLOOR)
+    a = max(vm + kappa, VAR_FLOOR)
+    b = max(vu + kappa, VAR_FLOOR)
     ratio = 0.25 * (a / b + b / a + 2.0)
     return float(np.exp(-(0.25 * np.log(ratio) + 0.25 * dmu2 / (a + b))))
 
@@ -47,8 +47,8 @@ def solve_kappa(
     least ``target``; caps at the bisection bracket if the target is
     numerically unreachable.
     """
-    vm = max(vm, _VAR_FLOOR)
-    vu = max(vu, _VAR_FLOOR)
+    vm = max(vm, VAR_FLOOR)
+    vu = max(vu, VAR_FLOOR)
     target = min(target, 1.0 - 1e-12)
     if _bc_scalar(vm, vu, dmu2, 0.0) >= target:
         return 0.0

@@ -4,8 +4,8 @@ ZeroER min-max normalizes every feature into [0, 1] before EM (§3.3). A
 missing similarity value (a side had a NULL attribute, which reads as NaN
 from Arrow) is imputed at the feature's minimum over the candidate set first.
 ``featurize`` fits a :class:`Scaler` on each model's collected matrix;
-:func:`fit_scaler` and :func:`scale_features` run the same numpy code over a
-DataFrame, with one ``toArrow`` in and one ``createDataFrame`` out.
+:func:`scale_features` runs the same numpy code over a DataFrame, with one
+``toArrow`` in and one ``createDataFrame`` out.
 """
 from __future__ import annotations
 
@@ -57,11 +57,6 @@ class Scaler:
         span = np.array([self.max[c] for c in self.cols]) - lo
         imputed = np.where(np.isnan(X), lo, X)
         return np.divide(imputed - lo, span, out=np.zeros_like(imputed), where=span > 0)
-
-
-def fit_scaler(df: DataFrame, cols: list[str]) -> Scaler:
-    """A :class:`Scaler` fitted on ``df``'s ``cols``, collected in one transfer."""
-    return Scaler.fit(feature_matrix(df.select(*cols).toArrow(), cols), cols)
 
 
 def scale_features(df: DataFrame, cols: list[str]) -> DataFrame:

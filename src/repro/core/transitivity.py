@@ -11,9 +11,10 @@ a previous constraint's adjustment (the paper's conflict rule).
 
 Both steps run on int codes. :func:`enumerate_constraints` lists Q' with
 sorts and segment arithmetic over the match arrays and names each pair by its
-model code and ``(id1 << 32) | id2`` key; the caller maps those pairs to
-positions in one value table, and :func:`resolve` walks the constraints in
-order over Python lists indexed by position.
+model code and ``(id1 << 32) | id2`` key; the caller looks each distinct pair
+up once in its model and gives the pairs found positions in one value table,
+and :func:`resolve` walks the constraints in order over Python lists indexed
+by position.
 
 Closing pairs excluded by blocking have no feature vector: their γ is pinned
 to 0 (the paper's convention), which forbids the "raise γ_c" projection and
@@ -26,13 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
-from repro.core.em import _encode_ids
+from repro.core.em import GAMMA_CLIP, _encode_ids
 
 MODELS = ("c", "l", "r")  # model codes: index into this tuple
 
-_CLIP = 1e-7
 _MAX_FANOUT = 64  # cap per-tuple match fan-out when enumerating trios
 
 
@@ -86,10 +85,11 @@ def _group_pairs(shared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> Constraints:
+def enumerate_constraints(matches: dict[str, tuple[np.ndarray, np.ndarray]]) -> Constraints:
     """Build Q' from the three match sets (γ ≥ 0.5 pairs per model).
 
-    ``matches[m]`` has columns l_id, r_id, gamma. Two cross matches sharing a
+    ``matches[m]`` is the model's (ids, γ): an (n, 2) int64 array of
+    (l_id, r_id) and the pairs' posteriors. Two cross matches sharing a
     left tuple close through a *right*-model pair and vice versa; two intra
     matches sharing a tuple close through the same intra model (an intra
     match counts as a neighbour of both its tuples).
@@ -112,21 +112,16 @@ def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> Constraints:
         models.append(np.tile(np.array([code_ab, code_ab, code_c], dtype=np.int8), (len(a), 1)))
         keys.append(np.column_stack([a, b, c]))
 
-    def arrays(m: str):
-        df = matches.get(m)
-        if df is None or not len(df):
-            return None
-        return (
-            df["l_id"].to_numpy(dtype=np.int64),
-            df["r_id"].to_numpy(dtype=np.int64),
-            df["gamma"].to_numpy(dtype=np.float64),
-        )
+    def match_set(m: str):
+        ids, g = matches.get(m, ((), ()))
+        return (ids, g) if len(ids) else None
 
-    cross = arrays("c")
+    cross = match_set("c")
     if cross is not None:
-        l, r, g = cross
-        row = np.arange(len(l))
-        pair = _encode_ids(np.column_stack([l, r]))
+        ids, g = cross
+        l, r = ids[:, 0], ids[:, 1]
+        row = np.arange(len(ids))
+        pair = _encode_ids(ids)
         for shared, other, closing in ((l, r, "r"), (r, l, "l")):
             kept = _capped_groups(shared, g, row, other)
             p, q = _group_pairs(shared[kept])
@@ -134,21 +129,21 @@ def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> Constraints:
             closing_pair = _intra_key(other[p], other[q])
             emit(MODELS.index("c"), MODELS.index(closing), pair[p], pair[q], closing_pair)
     for m in ("l", "r"):
-        intra = arrays(m)
+        intra = match_set(m)
         if intra is None:
             continue
-        i, j, g = intra
+        ids, g = intra
         # (i,j) and (i,k) matched within one table ⇒ (j,k) must match too.
         # Entry 2e lists edge e under its first tuple, 2e + 1 under its second.
-        shared = np.column_stack([i, j]).ravel()
-        nbr = np.column_stack([j, i]).ravel()
+        shared = ids.ravel()
+        nbr = ids[:, ::-1].ravel()
         entry = np.arange(len(shared))
         kept = _capped_groups(shared, np.repeat(g, 2), entry, nbr)
         p, q = _group_pairs(shared[kept])
         p, q = kept[p], kept[q]
         distinct = nbr[p] != nbr[q]
         p, q = p[distinct], q[distinct]
-        edge = _intra_key(i, j)
+        edge = _intra_key(ids[:, 0], ids[:, 1])
         code = MODELS.index(m)
         emit(code, code, edge[p // 2], edge[q // 2], _intra_key(nbr[p], nbr[q]))
     if not keys:
@@ -158,7 +153,7 @@ def enumerate_constraints(matches: dict[str, pd.DataFrame]) -> Constraints:
 
 def _free_energy_term(v: float, logm: float, logu: float) -> float:
     """One pair's contribution to F(Θ, γ) (Eq. 14)."""
-    v = min(max(v, _CLIP), 1.0 - _CLIP)
+    v = min(max(v, GAMMA_CLIP), 1.0 - GAMMA_CLIP)
     return v * (logm - math.log(v)) + (1.0 - v) * (logu - math.log(1.0 - v))
 
 
@@ -191,8 +186,8 @@ def resolve(
         best = None
         for key, new, dirn in (
             (c, ga * gb, +1),
-            (a, gc / gb if gb > _CLIP else 0.0, -1),
-            (b, gc / ga if ga > _CLIP else 0.0, -1),
+            (a, gc / gb if gb > GAMMA_CLIP else 0.0, -1),
+            (b, gc / ga if ga > GAMMA_CLIP else 0.0, -1),
         ):
             if key < 0:
                 continue  # pinned γ=0 pair: not adjustable
@@ -205,6 +200,6 @@ def resolve(
         if best is None:
             continue  # all axes conflict: perform no projection (paper's rule)
         _, key, new, dirn = best
-        cur[key] = adjusted[key] = min(max(new, _CLIP), 1.0 - _CLIP)
+        cur[key] = adjusted[key] = min(max(new, GAMMA_CLIP), 1.0 - GAMMA_CLIP)
         direction[key] = dirn
     return adjusted

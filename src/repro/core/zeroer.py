@@ -116,49 +116,43 @@ class ZeroERResult:
 def _transitivity_overrides(
     backends: dict[str, NumpyBackend],
     params: dict[str, ModelParams],
-    matches: dict[str, pd.DataFrame],
     constraints: trans_mod.Constraints,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Resolve Q' (Eq. 18) and return each model's adjusted pairs as
-    (``_encode_ids`` keys, γ') override arrays.
+    (rows, γ') override arrays.
 
-    Every pair a constraint names gets one position in a value table: a
-    model's match rows, then the closing pairs among its other candidate
-    pairs (looked up in its backend). A pair in neither, blocked out or of a
+    Each distinct pair the constraints name is looked up once in its model's
+    backend, and the pairs found get consecutive positions in one value
+    table. A pair that is not a candidate of its model, blocked out or of a
     model left out, gets position −1: pinned at γ = 0.
     """
     positions = np.full(constraints.keys.shape, -1, dtype=np.int64)
-    spans: list[tuple[str, int, np.ndarray]] = []  # (model, first position, keys)
+    rows: dict[str, np.ndarray] = {}
     values, logm, logu = [], [], []
     base = 0
     for code, m in enumerate(trans_mod.MODELS):
         if m not in backends:
             continue
-        mdf = matches[m]
-        k = em_mod._encode_ids(mdf[["l_id", "r_id"]].to_numpy())
         slots = constraints.models == code
-        need = np.setdiff1d(constraints.keys[:, 2][slots[:, 2]], k)
-        found, g, lm, lu = backends[m].lookup(params[m], need)
-        k = np.concatenate([k, need[found]])
-        values += [mdf["gamma"].to_numpy(), g]
-        logm += [mdf["logm"].to_numpy(), lm]
-        logu += [mdf["logu"].to_numpy(), lu]
-        if len(k):
-            order = np.argsort(k)
-            wanted = constraints.keys[slots]
-            at = order[np.minimum(np.searchsorted(k[order], wanted), len(k) - 1)]
-            positions[slots] = np.where(k[at] == wanted, base + at, -1)
-        spans.append((m, base, k))
-        base += len(k)
+        keys, named = np.unique(constraints.keys[slots], return_inverse=True)
+        row, g, lm, lu = backends[m].lookup(params[m], keys)
+        found = row >= 0
+        positions[slots] = np.where(found, base + np.cumsum(found) - 1, -1)[named]
+        rows[m] = row[found]
+        values.append(g)
+        logm.append(lm)
+        logu.append(lu)
+        base += len(g)
     adjusted = trans_mod.resolve(
         positions, np.concatenate(values), np.concatenate(logm), np.concatenate(logu)
     )
     at = np.fromiter(adjusted.keys(), dtype=np.int64, count=len(adjusted))
     new = np.fromiter(adjusted.values(), dtype=np.float64, count=len(adjusted))
-    out = {}
-    for m, first, k in spans:
-        mine = (at >= first) & (at < first + len(k))
-        out[m] = (k[at[mine] - first], new[mine])
+    out, first = {}, 0
+    for m, r in rows.items():
+        mine = (at >= first) & (at < first + len(r))
+        out[m] = (r[at[mine] - first], new[mine])
+        first += len(r)
     return out
 
 
@@ -170,10 +164,9 @@ def _joint_em(
     groups: np.ndarray,
     config: EMConfig,
     use_transitivity: bool,
-) -> tuple[
-    dict[str, ModelParams], dict[str, tuple[np.ndarray, np.ndarray]], list[float], np.ndarray | None
-]:
-    """Algorithm 2's loop over the linked models in ``backends``.
+) -> tuple[dict[str, ModelParams], np.ndarray, list[float]]:
+    """Algorithm 2's loop over the linked models in ``backends``; returns the
+    last parameters, the cross posterior and the likelihood history.
 
     ``backends`` maps "c" (required), "l" and "r" to non-empty models. A
     missing intra model is treated as blocked out: its closing pairs keep
@@ -182,9 +175,9 @@ def _joint_em(
     per model.
 
     With transitivity, each iteration re-enumerates Q' from the models'
-    γ ≥ 0.5 match arrays and resolves it (:func:`_transitivity_overrides`);
-    the adjusted pairs reach the next M-step and the posteriors as per-model
-    (key, γ') arrays.
+    γ ≥ 0.5 (ids, γ) arrays and resolves it (:func:`_transitivity_overrides`);
+    the adjusted pairs reach the sufficient statistics and the posteriors as
+    per-model (rows, γ') arrays, a pair named by its row in its model.
 
     Transitivity projections can make the expected log-likelihood oscillate
     (a pair forced across components contributes a huge negative density
@@ -192,7 +185,8 @@ def _joint_em(
     the cross model's predicted match set has been stable for
     ``_STABLE_WINDOW`` iterations; if a match-set transition repeats (a
     cycle) or the iteration cap is hit instead, the returned cross posterior
-    is the average of the last ``tail_average`` iterations' γ (§3.3's remedy).
+    is the average of the last ``tail_average`` iterations' γ (§3.3's remedy);
+    otherwise it is the last iteration's.
     """
     R = {m: em_mod.shared_correlation(b, groups) for m, b in backends.items()}
     stats = {m: b.init_stats(config.eps_init) for m, b in backends.items()}
@@ -204,7 +198,6 @@ def _joint_em(
     # exactly, so a repeated transition is a real cycle, not a hash collision.
     match_sets: deque[bytes] = deque(maxlen=_STABLE_WINDOW)
     seen_transitions: set[tuple[bytes, bytes]] = set()
-    tail_gamma: np.ndarray | None = None
     cycling = False
     for _ in range(config.max_iter):
         params = {
@@ -213,7 +206,7 @@ def _joint_em(
         if use_transitivity:
             matches = {m: backends[m].match_candidates(params[m]) for m in backends}
             constraints = trans_mod.enumerate_constraints(matches)
-            overrides = _transitivity_overrides(backends, params, matches, constraints)
+            overrides = _transitivity_overrides(backends, params, constraints)
         stats = {m: backends[m].suffstats(params[m], overrides.get(m)) for m in backends}
         history.append(sum(s.ell for s in stats.values()))
         gamma = backends["c"].posterior_vector(params["c"], overrides.get("c"))
@@ -240,8 +233,8 @@ def _joint_em(
     else:
         cycling = True  # hit the iteration cap without converging
     if cycling:
-        tail_gamma = np.mean(np.stack(gamma_tail), axis=0)
-    return params, overrides, history, tail_gamma
+        gamma = np.mean(np.stack(gamma_tail), axis=0)
+    return params, gamma, history
 
 
 def _postprocess_one_to_one(post: pd.DataFrame) -> pd.DataFrame:
@@ -299,14 +292,7 @@ def run_zeroer(
     gamma = np.zeros(0)
     history: list[float] = []
     if cb.n:
-        params, overrides, history, tail_gamma = _joint_em(
-            backends, task.groups, config, use_constraint
-        )
-        gamma = (
-            tail_gamma
-            if tail_gamma is not None
-            else cb.posterior_vector(params["c"], overrides.get("c"))
-        )
+        _, gamma, history = _joint_em(backends, task.groups, config, use_constraint)
     post = cb.posteriors_pdf(gamma)
     if transitivity == "post":
         post = _postprocess_one_to_one(post)

@@ -80,8 +80,10 @@ def _finish(
     lp.insert(0, "_id", np.arange(len(lp), dtype="int64"))
     rp.insert(0, "_id", np.arange(len(rp), dtype="int64"))
     mp = pd.DataFrame(match_pairs, columns=["l_id", "r_id"]).astype("int64")
-    # The sides are re-scanned by blocking, feature joins and evaluation;
-    # caching avoids re-running Arrow conversion on every action.
+    # The sides and the matches are read again by `pairs_with_attrs`, PPJoin
+    # and `evaluate` (on the matches); caching avoids re-running the Arrow
+    # conversion on every action. `block_models`' SQL statement does not read
+    # this cache: its plan scans the local tables.
     return ERDataset(
         name=name,
         code=code,

@@ -37,8 +37,8 @@ GROUPS2 = np.array([0, 0, 1, 1])
 
 def fit_one(be: NumpyBackend, config: EMConfig, groups=GROUPS2):
     """Algorithm 1 on one model: the joint EM loop with only a cross model."""
-    params, _, history, tail_gamma = _joint_em({"c": be}, groups, config, False)
-    return params["c"], history, tail_gamma
+    params, gamma, history = _joint_em({"c": be}, groups, config, False)
+    return params["c"], history, gamma
 
 
 def test_stats_from_gamma_moments():
@@ -108,16 +108,15 @@ def test_gammas_sigmoid_of_logodds():
 
 def test_apply_overrides_vectorized_matches_naive():
     g = np.random.default_rng(3)
-    ids = g.integers(0, 50, (200, 2)).astype(np.int64)
     gamma = g.random(200)
-    overrides = {(int(ids[i, 0]), int(ids[i, 1])): 0.42 for i in [150, 3, 77]}
-    keys = np.array([(a << 32) | b for a, b in overrides], dtype=np.int64)
-    out = apply_overrides(ids, gamma, (keys, np.full(len(keys), 0.42)))
+    before = gamma.copy()
+    overrides = {150: 0.42, 3: 0.1, 77: 0.9}
+    out = apply_overrides(gamma, (np.array(list(overrides)), np.array(list(overrides.values()))))
     for i in range(200):
-        k = (int(ids[i, 0]), int(ids[i, 1]))
-        assert out[i] == (pytest.approx(0.42) if k in overrides else gamma[i])
-    assert apply_overrides(ids, gamma, (np.zeros(0, np.int64), np.zeros(0))) is gamma
-    assert apply_overrides(ids, gamma, None) is gamma
+        assert out[i] == overrides.get(i, before[i])
+    assert gamma.tolist() == before.tolist()  # the input is not modified
+    assert apply_overrides(gamma, (np.zeros(0, np.int64), np.zeros(0))) is gamma
+    assert apply_overrides(gamma, None) is gamma
 
 
 def test_numpy_backend_em_recovers_mixture():
@@ -143,18 +142,48 @@ def test_numpy_backend_match_candidates_and_lookup():
     ids, X, y = synthetic_mixture(n=500)
     be = NumpyBackend(ids, X)
     params, _, _ = fit_one(be, EMConfig())
-    mc = be.match_candidates(params)
-    assert set(mc.columns) == {"l_id", "r_id", "gamma", "logm", "logu"}
-    assert (mc.gamma >= 0.5).all()
-    head = mc.head(3)
-    keys = (head.l_id.to_numpy() << 32) | head.r_id.to_numpy()
+    gamma = be.posterior_vector(params)
+    mids, mg = be.match_candidates(params)
+    keep = np.flatnonzero(gamma >= 0.5)
+    assert len(keep) and mids.tolist() == ids[keep].tolist() and mg.tolist() == gamma[keep].tolist()
+    keys = (mids[:3, 0] << 32) | mids[:3, 1]
     missing = (999999 << 32) | 999999
-    found, g, lm, lu = be.lookup(params, np.r_[keys[:2], missing, keys[2:]])
-    assert found.tolist() == [True, True, False, True]
-    assert g.tolist() == head.gamma.tolist()
-    assert lm.tolist() == head.logm.tolist() and lu.tolist() == head.logu.tolist()
-    found, g, _, _ = be.lookup(params, np.array([missing]))
-    assert found.tolist() == [False] and len(g) == 0
+    rows, g, lm, lu = be.lookup(params, np.r_[keys[:2], missing, keys[2:]])
+    assert rows.tolist() == [keep[0], keep[1], -1, keep[2]]
+    logm, logu = class_logliks(X, params)
+    assert g.tolist() == mg[:3].tolist()
+    assert lm.tolist() == logm[keep[:3]].tolist() and lu.tolist() == logu[keep[:3]].tolist()
+    rows, g, _, _ = be.lookup(params, np.array([missing]))
+    assert rows.tolist() == [-1] and len(g) == 0
+
+
+def _params(d: int):
+    X = np.random.default_rng(2).random((50, d))
+    return build_params(stats_from_gamma(X, (X.mean(1) > 0.5) * 1.0), np.eye(d), np.arange(d), EMConfig())
+
+
+def test_lookup_keys_below_between_and_above_candidates():
+    """A key below every candidate key, between two and above all is −1;
+    a pair held by two rows resolves to the later row."""
+    ids = np.array([(3, 5), (1, 2), (3, 4), (1, 2)])
+    be = NumpyBackend(ids, np.random.default_rng(4).random((4, 2)))
+    params = _params(2)
+    key = lambda i, j: (i << 32) | j  # noqa: E731
+    keys = np.array([0, key(3, 4), key(2, 0), key(1, 2), key(9, 9)], dtype=np.int64)
+    rows, g, lm, lu = be.lookup(params, keys)
+    assert rows.tolist() == [-1, 2, -1, 3, -1]
+    logm, logu = class_logliks(be.X, params)
+    assert g.tolist() == gammas(logm, logu)[[2, 3]].tolist()
+    assert lm.tolist() == logm[[2, 3]].tolist() and lu.tolist() == logu[[2, 3]].tolist()
+
+
+def test_lookup_on_empty_model():
+    be = NumpyBackend(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)))
+    rows, g, lm, lu = be.lookup(_params(3), np.array([0, (1 << 32) | 2], dtype=np.int64))
+    assert rows.tolist() == [-1, -1]
+    assert len(g) == len(lm) == len(lu) == 0
+    mids, mg = be.match_candidates(_params(3))
+    assert mids.shape == (0, 2) and len(mg) == 0
 
 
 def test_shared_correlation_identity_for_independent_groups():
@@ -213,8 +242,7 @@ def test_joint_em_degenerate_single_model(case):
     """Single-model EM on a degenerate input finishes with finite posteriors."""
     X = _degenerate(case)
     be = NumpyBackend(np.column_stack([np.arange(len(X))] * 2), X)
-    params, history, tail_gamma = fit_one(be, EMConfig())
-    gamma = tail_gamma if tail_gamma is not None else be.posterior_vector(params)
+    params, history, gamma = fit_one(be, EMConfig())
     assert history and len(gamma) == len(X)
     assert np.isfinite(gamma).all() and ((gamma >= 0.0) & (gamma <= 1.0)).all()
 

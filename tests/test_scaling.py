@@ -17,7 +17,7 @@ from pyspark.sql import functions as F
 
 from repro.blocking import block_models
 from repro.core.em import model_matrices
-from repro.core.scaling import Scaler, fit_scaler, scale_features
+from repro.core.scaling import Scaler, feature_matrix, scale_features
 from repro.oracle import assert_equivalent
 from repro.textsim import compute_features, feature_columns, feature_plan
 
@@ -111,7 +111,8 @@ def feat_df(spark):
 
 
 def test_fit_scaler_stats_ignore_nan(feat_df):
-    sc = fit_scaler(feat_df, ["f1", "f2", "f3"])
+    cols = ["f1", "f2", "f3"]
+    sc = Scaler.fit(feature_matrix(feat_df.toArrow(), cols), cols)
     assert sc.min["f1"] == 0.0 and sc.max["f1"] == 1.0
     assert sc.min["f2"] == 2.0 and sc.max["f2"] == 10.0
     assert sc.min["f3"] == sc.max["f3"] == 3.0
@@ -175,11 +176,12 @@ def test_null_and_nan_both_imputed_at_min(spark):
                           (2, math.nan, 1.0, None), (3, 0.6, None, math.nan),
                           (4, 1.0, math.nan, None)])
     assert tuple(df.selectExpr("count_if(isnan(f))", "count_if(f IS NULL)").first()) == (1, 1)
-    sc = fit_scaler(df, ["f", "g", "h"])
+    cols = ["f", "g", "h"]
+    sc = Scaler.fit(feature_matrix(df.toArrow(), cols), cols)
     assert (sc.min["f"], sc.max["f"]) == (0.2, 1.0)
     assert sc.min["g"] == sc.max["g"] == 1.0  # constant among present values
     assert sc.min["h"] == sc.max["h"] == 0.0  # all missing: pinned
-    out = scale_features(df, ["f", "g", "h"]).toPandas().sort_values("l_id")
+    out = scale_features(df, cols).toPandas().sort_values("l_id")
     assert out["f"].tolist() == [0.0, 0.0, 0.0, (0.6 - 0.2) / (1.0 - 0.2), 1.0]
     assert out["g"].tolist() == [0.0] * 5
     assert out["h"].tolist() == [0.0] * 5
@@ -208,7 +210,8 @@ def test_fit_scalers_per_model_equal_single_model_fits(spark, feat_df):
     got = model_matrices(tagged.toArrow(), cols, ["c", "l", "r"])
     for m, (_, X) in got.items():
         assert Scaler.fit(X, cols) == want[m]
-        assert Scaler.fit(X, cols) == fit_scaler(tagged.where(f"model = '{m}'"), cols)
+        one = tagged.where(f"model = '{m}'")
+        assert Scaler.fit(X, cols) == Scaler.fit(feature_matrix(one.toArrow(), cols), cols)
     assert want["l"].min == want["l"].max == {c: 0.0 for c in cols}
     assert Scaler.fit(got["l"][1], cols).transform(got["l"][1]).shape == (0, 3)
 

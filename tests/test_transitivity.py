@@ -1,8 +1,10 @@
 """Tests for transitivity constraint enumeration and greedy projection.
 
 ``ref_enumerate_constraints`` and ``ref_resolve`` are the pandas-groupby and
-tuple-keyed implementations the int-coded ones replaced; the property tests
-require the same ordered constraints and bit-identical adjusted values.
+tuple-keyed implementations the int-coded ones replaced, and
+``ref_overrides`` is one transitivity step of the EM loop over them; the
+property tests require the same ordered constraints and bit-identical
+adjusted values.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import transitivity as tr
-from repro.core.em import EMConfig, NumpyBackend, build_params, gammas
+from repro.core.em import GAMMA_CLIP, EMConfig, NumpyBackend, build_params, class_logliks, gammas
 from repro.core.zeroer import _transitivity_overrides
 
 ModelKey = tuple[str, int, int]  # ("c"|"l"|"r", id1, id2)
@@ -109,8 +111,8 @@ def ref_resolve(
         options: list[tuple[float, ModelKey, float, int]] = []
         for key, new, dirn in (
             (con.c, ga * gb, +1),
-            (con.a, gc / gb if gb > tr._CLIP else 0.0, -1),
-            (con.b, gc / ga if ga > tr._CLIP else 0.0, -1),
+            (con.a, gc / gb if gb > GAMMA_CLIP else 0.0, -1),
+            (con.b, gc / ga if ga > GAMMA_CLIP else 0.0, -1),
         ):
             ll = logliks.get(key)
             if ll is None:
@@ -123,7 +125,7 @@ def ref_resolve(
         if not options:
             continue
         gain, key, new, dirn = max(options, key=lambda t: t[0])
-        adjusted[key] = min(max(new, tr._CLIP), 1.0 - tr._CLIP)
+        adjusted[key] = min(max(new, GAMMA_CLIP), 1.0 - GAMMA_CLIP)
         direction[key] = dirn
     return adjusted
 
@@ -161,8 +163,16 @@ def mdf(rows):
     return pd.DataFrame(rows, columns=["l_id", "r_id", "gamma", "logm", "logu"])
 
 
+def match_arrays(matches: dict[str, pd.DataFrame]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Match frames as the (ids, γ) arrays ``tr.enumerate_constraints`` takes."""
+    return {
+        m: (df[["l_id", "r_id"]].to_numpy(dtype=np.int64), df["gamma"].to_numpy(dtype=np.float64))
+        for m, df in matches.items()
+    }
+
+
 def enumerate_keyed(matches) -> list[Constraint]:
-    return as_ref(tr.enumerate_constraints(matches))
+    return as_ref(tr.enumerate_constraints(match_arrays(matches)))
 
 
 def test_enumerate_cross_shared_left():
@@ -183,7 +193,7 @@ def test_enumerate_cross_shared_right():
 
 def test_enumerate_no_shared_tuple_no_constraints():
     matches = {"c": mdf([(1, 10, 0.9, -1, -1), (2, 11, 0.8, -1, -1)])}
-    assert len(tr.enumerate_constraints(matches)) == 0
+    assert len(tr.enumerate_constraints(match_arrays(matches))) == 0
 
 
 def test_enumerate_three_way_fanout():
@@ -214,7 +224,7 @@ def test_enumerate_mixed_models():
         "l": mdf([(4, 5, 0.9, -1, -1), (4, 6, 0.7, -1, -1)]),
         "r": mdf([]),
     }
-    cons = tr.enumerate_constraints(matches)
+    cons = tr.enumerate_constraints(match_arrays(matches))
     assert len(cons) == 2
 
 
@@ -452,7 +462,7 @@ def ref_overrides(backends, params, matches):
             logliks[k] = (float(r.logm), float(r.logu))
     for m, be in backends.items():
         keys = {con.c[1:] for con in constraints if con.c[0] == m and con.c not in values}
-        logm, logu = be._logliks(params[m])
+        logm, logu = class_logliks(be.X, params[m])
         g = gammas(logm, logu)
         index = {(int(a), int(b)): i for i, (a, b) in enumerate(be.ids)}
         for k in keys:
@@ -466,12 +476,25 @@ def ref_overrides(backends, params, matches):
     return out
 
 
+def own_matches(be: NumpyBackend, params) -> pd.DataFrame:
+    """The backend's γ ≥ 0.5 rows with their γ and class log-likelihoods:
+    the match set the EM loop enumerates Q' from."""
+    logm, logu = class_logliks(be.X, params)
+    g = gammas(logm, logu)
+    keep = g >= 0.5
+    return pd.DataFrame({
+        "l_id": be.ids[keep, 0], "r_id": be.ids[keep, 1],
+        "gamma": g[keep], "logm": logm[keep], "logu": logu[keep],
+    })
+
+
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("present", ["clr", "cl", "c"])
 def test_resolve_step_matches_reference(seed, present):
-    """Overrides from the int-coded step equal the dict-keyed reference:
-    same pairs, same values, split by model. Closing pairs missing from the
-    other models' candidates stay pinned at 0."""
+    """Overrides from the row-indexed step equal the dict-keyed reference,
+    compared as (l_id, r_id) → γ' per model. The match sets are each
+    backend's own γ ≥ 0.5 rows. Closing pairs missing from the other models'
+    candidates stay pinned at 0."""
     rng = np.random.default_rng(seed)
     backends, params, matches = {}, {}, {}
     groups = np.array([0, 0, 1])
@@ -485,17 +508,13 @@ def test_resolve_step_matches_reference(seed, present):
         be = NumpyBackend(np.array(cand), rng.random((len(cand), 3)))
         backends[m] = be
         params[m] = build_params(be.init_stats(0.5), np.eye(3), groups, EMConfig())
-        rows = rng.choice(len(cand), len(cand) // 4, replace=False)
-        matches[m] = mdf([
-            (*cand[i], rng.uniform(0.5, 1.0), rng.uniform(-30, 30), rng.uniform(-30, 30))
-            for i in rows
-        ])
+        matches[m] = be.match_candidates(params[m])
     constraints = tr.enumerate_constraints(matches)
     assert len(constraints)
-    got = _transitivity_overrides(backends, params, matches, constraints)
-    want = ref_overrides(backends, params, matches)
+    got = _transitivity_overrides(backends, params, constraints)
+    want = ref_overrides(backends, params, {m: own_matches(be, params[m]) for m, be in backends.items()})
     assert sum(map(len, want.values()))
-    for m in backends:
-        keys, vals = got[m]
-        as_dict = {(k >> 32, k & 0xFFFFFFFF): v for k, v in zip(keys.tolist(), vals.tolist())}
-        assert as_dict == want[m]
+    for m, be in backends.items():
+        rows, vals = got[m]
+        as_dict = {tuple(be.ids[r].tolist()): v for r, v in zip(rows.tolist(), vals.tolist())}
+        assert len(as_dict) == len(rows) and as_dict == want[m]
