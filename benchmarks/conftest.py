@@ -1,9 +1,9 @@
 """Benchmark configuration: scale factor shared by all table benchmarks.
 
-``REPRO_BENCH_SCALE`` scales the DESIGN.md dataset sizes (default 0.4, which
-keeps the full 5-table regeneration under ~an hour on a 16-core machine —
-raise it for a bigger run). Table 4's label sweep uses a smaller default
-because it trains O(grid) MLlib models per dataset per method.
+``REPRO_BENCH_SCALE`` scales the DESIGN.md dataset sizes (default 0.4; the
+wall time of the full 5-table regeneration at that scale on a 4-core box has
+not been measured). Table 4's label sweep uses a smaller default because it
+trains O(grid) MLlib models per dataset per method.
 """
 import os
 

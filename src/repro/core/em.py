@@ -17,7 +17,7 @@ M-step is vectorized numpy over it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -74,14 +74,8 @@ class ModelParams:
     var_u: np.ndarray
     Sigma_m: np.ndarray  # regularized covariances actually used by the E-step
     Sigma_u: np.ndarray
-    groups: np.ndarray
-    gauss_m: gmm.BlockGaussian = field(repr=False, default=None)
-    gauss_u: gmm.BlockGaussian = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.gauss_m is None:
-            self.gauss_m = gmm.BlockGaussian(self.mu_m, self.Sigma_m, self.groups)
-            self.gauss_u = gmm.BlockGaussian(self.mu_u, self.Sigma_u, self.groups)
+    gauss_m: gmm.BlockGaussian
+    gauss_u: gmm.BlockGaussian
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +159,10 @@ def build_params(stats: SuffStats, R: np.ndarray, groups: np.ndarray, config: EM
         raise ValueError(f"unknown regularization mode {config.regularization!r}")
     Sigma_m = Sigma_m + np.diag(K)
     Sigma_u = Sigma_u + np.diag(K)
-    return ModelParams(pi_m, mu_m, mu_u, var_m, var_u, Sigma_m, Sigma_u, groups)
+    return ModelParams(
+        pi_m, mu_m, mu_u, var_m, var_u, Sigma_m, Sigma_u,
+        gmm.BlockGaussian(mu_m, Sigma_m, groups), gmm.BlockGaussian(mu_u, Sigma_u, groups),
+    )
 
 
 def model_matrices(

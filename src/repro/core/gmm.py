@@ -87,7 +87,6 @@ class BlockGaussian:
 
     def __init__(self, mu: np.ndarray, Sigma: np.ndarray, groups: np.ndarray):
         self.mu = np.asarray(mu, dtype=np.float64)
-        self.groups = groups
         self._blocks: list[tuple[np.ndarray, np.ndarray, float]] = []
         logdet = 0.0
         for idx in group_slices(groups):

@@ -32,37 +32,49 @@ from repro.textsim import (
 )
 
 
-@dataclass
 class FeaturizedTask:
-    """Blocked + featurized + scaled pair sets for one dataset.
+    """Blocked + featurized + scaled pair sets for one dataset, shared by
+    ZeroER and every baseline so Table 3 compares methods on identical
+    inputs (the paper's protocol).
 
-    ``cross`` (and optionally ``left``/``right`` for the intra-table models)
-    are DataFrames of ``l_id, r_id, <feature>…`` with features min-max scaled
-    to [0, 1]. Shared by ZeroER and by every baseline so Table 3 compares
-    methods on identical inputs (the paper's protocol). ``matrices`` holds
-    each model's (ids, X) as numpy arrays sorted by (l_id, r_id), when
-    :func:`featurize` built the task; the DataFrames are built from them.
+    ``matrices`` maps each featurized model ("c", and "l"/"r" for the intra
+    models) to its (ids, X), rows sorted by (l_id, r_id), features min-max
+    scaled to [0, 1]. ``cross``, ``left`` and ``right`` are DataFrame views
+    ``l_id, r_id, <feature>…`` built from them on first access (Arrow
+    ``createDataFrame``) and kept, or ``None`` for a model not featurized.
+    A task built from such frames instead (``cross=`` …) collects them into
+    ``matrices`` here, by :meth:`NumpyBackend.from_spark`, and keeps them.
     """
 
-    ds: ERDataset
-    cols: list[str]
-    groups: np.ndarray
-    cross: DataFrame
-    left: DataFrame | None = None
-    right: DataFrame | None = None
-    matrices: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+    def __init__(
+        self, ds: ERDataset, cols: list[str], groups: np.ndarray,
+        matrices: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
+        *, cross: DataFrame | None = None, left: DataFrame | None = None,
+        right: DataFrame | None = None,
+    ):
+        self.ds, self.cols, self.groups = ds, cols, groups
+        self._views = {m: df for m, df in (("c", cross), ("l", left), ("r", right)) if df is not None}
+        if matrices is None:
+            collected = NumpyBackend.from_spark(self._views, cols)
+            matrices = {m: (b.ids, b.X) for m, b in collected.items()}
+        self.matrices = matrices
+
+    def _view(self, m: str) -> DataFrame | None:
+        if m not in self._views and m in self.matrices:
+            ids, X = self.matrices[m]
+            columns = [ids[:, 0], ids[:, 1], *X.T]
+            table = pa.table(columns, names=["l_id", "r_id", *self.cols])
+            self._views[m] = self.ds.left.sparkSession.createDataFrame(table)
+        return self._views.get(m)
+
+    cross = property(lambda self: self._view("c"))
+    left = property(lambda self: self._view("l"))
+    right = property(lambda self: self._view("r"))
 
     def unpersist(self) -> None:
-        """Release the caches a caller put on this task's DataFrames."""
-        for df in (self.cross, self.left, self.right):
-            if df is not None:
-                df.unpersist()
-
-
-def _view(spark: SparkSession, ids: np.ndarray, X: np.ndarray, cols: list[str]) -> DataFrame:
-    """``l_id long, r_id long, <cols> double`` from a model's matrices, via Arrow."""
-    columns = [ids[:, 0], ids[:, 1], *X.T]
-    return spark.createDataFrame(pa.table(columns, names=["l_id", "r_id", *cols]))
+        """Release the caches a caller put on the views built so far."""
+        for df in self._views.values():
+            df.unpersist()
 
 
 def featurize(
@@ -80,8 +92,8 @@ def featurize(
     models' candidate pairs with both records' ``ds.attributes`` (one join,
     two shuffles), and one ``mapInPandas`` kernel pass over them is collected
     in one ``toArrow()``. On the driver, each model's matrix is scaled by a
-    :class:`Scaler` fitted on it, and the DataFrame views are built from the
-    scaled matrices; nothing is cached.
+    :class:`Scaler` fitted on it. The task is those matrices: it builds no
+    DataFrame until a view is read, and nothing is cached.
     """
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
@@ -95,11 +107,7 @@ def featurize(
         m: (ids, Scaler.fit(X, cols).transform(X))
         for m, (ids, X) in model_matrices(table, cols, models).items()
     }
-    views = {m: _view(spark, ids, X, cols) for m, (ids, X) in matrices.items()}
-    return FeaturizedTask(
-        ds=ds, cols=cols, groups=group_ids(plan), cross=views["c"],
-        left=views.get("l"), right=views.get("r"), matrices=matrices,
-    )
+    return FeaturizedTask(ds, cols, group_ids(plan), matrices)
 
 
 @dataclass
@@ -111,6 +119,7 @@ class ZeroERResult:
     n_candidates: int
     n_iterations: int
     history: list[float]  # expected log-likelihood per iteration (all models)
+    stop: str  # why EM stopped: "tol", "stable", "cycle", "cap", or "empty" (no cross pairs)
 
 
 def _transitivity_overrides(
@@ -164,9 +173,10 @@ def _joint_em(
     groups: np.ndarray,
     config: EMConfig,
     use_transitivity: bool,
-) -> tuple[dict[str, ModelParams], np.ndarray, list[float]]:
+) -> tuple[dict[str, ModelParams], np.ndarray, list[float], str]:
     """Algorithm 2's loop over the linked models in ``backends``; returns the
-    last parameters, the cross posterior and the likelihood history.
+    last parameters, the cross posterior, the likelihood history and why the
+    loop stopped.
 
     ``backends`` maps "c" (required), "l" and "r" to non-empty models. A
     missing intra model is treated as blocked out: its closing pairs keep
@@ -183,10 +193,12 @@ def _joint_em(
     (a pair forced across components contributes a huge negative density
     term), so in addition to the paper's likelihood threshold we stop when
     the cross model's predicted match set has been stable for
-    ``_STABLE_WINDOW`` iterations; if a match-set transition repeats (a
-    cycle) or the iteration cap is hit instead, the returned cross posterior
-    is the average of the last ``tail_average`` iterations' γ (§3.3's remedy);
-    otherwise it is the last iteration's.
+    ``_STABLE_WINDOW`` iterations. The stop reason is ``"tol"`` (likelihood
+    threshold), ``"stable"`` (stable match set), ``"cycle"`` (a match-set
+    transition repeats) or ``"cap"`` (``max_iter`` reached). After a cycle
+    or at the cap, the returned cross posterior is the average of the last
+    ``tail_average`` iterations' γ (§3.3's remedy); otherwise it is the last
+    iteration's.
     """
     R = {m: em_mod.shared_correlation(b, groups) for m, b in backends.items()}
     stats = {m: b.init_stats(config.eps_init) for m, b in backends.items()}
@@ -198,7 +210,7 @@ def _joint_em(
     # exactly, so a repeated transition is a real cycle, not a hash collision.
     match_sets: deque[bytes] = deque(maxlen=_STABLE_WINDOW)
     seen_transitions: set[tuple[bytes, bytes]] = set()
-    cycling = False
+    stop = "cap"
     for _ in range(config.max_iter):
         params = {
             m: em_mod.build_params(stats[m], R[m], groups, config) for m in backends
@@ -215,8 +227,10 @@ def _joint_em(
         if len(history) >= 2 and abs(history[-1] - history[-2]) < config.tol * (
             1.0 + abs(history[-2])
         ):
+            stop = "tol"
             break
         if len(match_sets) == _STABLE_WINDOW and len(set(match_sets)) == 1:
+            stop = "stable"
             break
         if len(match_sets) >= 2 and match_sets[-2] != match_sets[-1]:
             # Transitivity projections can put EM into a limit cycle (the
@@ -227,14 +241,12 @@ def _joint_em(
             # the stability check above.)
             transition = (match_sets[-2], match_sets[-1])
             if transition in seen_transitions:
-                cycling = True
+                stop = "cycle"
                 break
             seen_transitions.add(transition)
-    else:
-        cycling = True  # hit the iteration cap without converging
-    if cycling:
+    if stop in ("cycle", "cap"):
         gamma = np.mean(np.stack(gamma_tail), axis=0)
-    return params, gamma, history
+    return params, gamma, history, stop
 
 
 def _postprocess_one_to_one(post: pd.DataFrame) -> pd.DataFrame:
@@ -266,33 +278,27 @@ def run_zeroer(
 ) -> ZeroERResult:
     """Run ZeroER on a featurized task and return γ>0.5 pairs as predictions.
 
-    ``transitivity='constraint'`` is Algorithm 2 (requires ``task.left/right``),
-    ``'none'`` is Algorithm 1, ``'post'`` is Algorithm 1 + duplicate-free
-    one-to-one post-processing (the Table 5 ablation). The backends are built
-    from ``task.matrices``, so a featurized task runs no Spark job here; a
-    task built from DataFrames alone is collected in one Arrow transfer
-    (:meth:`NumpyBackend.from_spark`). A model without candidate pairs is not
-    fitted: an empty intra model leaves its pairs blocked out (γ = 0), and an
-    empty cross model yields no predictions.
+    ``transitivity='constraint'`` is Algorithm 2 (requires the intra models
+    of ``featurize(include_intra=True)``), ``'none'`` is Algorithm 1,
+    ``'post'`` is Algorithm 1 + duplicate-free one-to-one post-processing
+    (the Table 5 ablation). The backends are built from ``task.matrices``,
+    so this runs no Spark job before the predictions frame and reads no
+    DataFrame view. A model without candidate pairs is not fitted: an empty
+    intra model leaves its pairs blocked out (γ = 0), and an empty cross
+    model yields no predictions.
     """
     config = config or EMConfig()
     use_constraint = transitivity == "constraint"
-    frames = {"c": task.cross}
-    if use_constraint:
-        if task.left is None or task.right is None:
-            raise ValueError("transitivity='constraint' needs featurize(include_intra=True)")
-        frames.update(l=task.left, r=task.right)
-    if task.matrices is None:
-        collected = NumpyBackend.from_spark(frames, task.cols)
-    else:
-        collected = {m: NumpyBackend(*task.matrices[m]) for m in frames}
+    models = tuple(MODEL_SIDES) if use_constraint else ("c",)
+    if not task.matrices.keys() >= set(models):
+        raise ValueError("transitivity='constraint' needs featurize(include_intra=True)")
+    collected = {m: NumpyBackend(*task.matrices[m]) for m in models}
     cb = collected["c"]
     backends = {m: b for m, b in collected.items() if b.n}
 
-    gamma = np.zeros(0)
-    history: list[float] = []
+    gamma, history, stop = np.zeros(0), [], "empty"
     if cb.n:
-        _, gamma, history = _joint_em(backends, task.groups, config, use_constraint)
+        _, gamma, history, stop = _joint_em(backends, task.groups, config, use_constraint)
     post = cb.posteriors_pdf(gamma)
     if transitivity == "post":
         post = _postprocess_one_to_one(post)
@@ -306,4 +312,5 @@ def run_zeroer(
         n_candidates=cb.n,
         n_iterations=len(history),
         history=history,
+        stop=stop,
     )

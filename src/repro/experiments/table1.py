@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import gmm
 from repro.core.zeroer import FeaturizedTask, featurize
@@ -30,15 +29,9 @@ def _flat_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def grouped_cosines(task: FeaturizedTask) -> tuple[float, float]:
     """(cosine(S_M, S_U), cosine(R_M, R_U)) from ground-truth labels."""
-    truth = task.ds.matches.withColumn("y", F.lit(1.0))
-    pdf = (
-        task.cross.join(truth, ["l_id", "r_id"], "left")
-        .fillna({"y": 0.0})
-        .select("y", *task.cols)
-        .toPandas()
-    )
-    X = pdf[task.cols].to_numpy(dtype=np.float64)
-    y = pdf["y"].to_numpy(dtype=np.float64)
+    ids, X = task.matrices["c"]
+    truth = task.ds.matches.select("l_id", "r_id").distinct().toPandas()
+    y = pd.MultiIndex.from_arrays(ids.T).isin(pd.MultiIndex.from_frame(truth)).astype(np.float64)
     S_m, R_m = gmm.weighted_cov(X, y)
     S_u, R_u = gmm.weighted_cov(X, 1.0 - y)
     g = task.groups
@@ -54,7 +47,6 @@ def run(spark: SparkSession, *, scale: float = 1.0) -> pd.DataFrame:
     for ds in all_datasets(spark, scale=scale):
         task = featurize(spark, ds)
         cos_s, cos_r = grouped_cosines(task)
-        task.cross.unpersist()
         rows.append(
             {
                 "dataset": ds.code,

@@ -41,7 +41,7 @@ def labels_needed(
     spark: SparkSession, task, target_f1: float, method: str, *, seed: int = 0
 ) -> str:
     """First budget on the doubling grid reaching ``target_f1``, else 'N*'."""
-    total = task.cross.count()
+    total = len(task.matrices["c"][0])
     if method == "AL-RF":
         res = active_learning.al_rf(spark, task.cross, task.cols, task.ds.matches, seed=seed)
         for n, f1 in res.trajectory:

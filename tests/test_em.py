@@ -37,7 +37,7 @@ GROUPS2 = np.array([0, 0, 1, 1])
 
 def fit_one(be: NumpyBackend, config: EMConfig, groups=GROUPS2):
     """Algorithm 1 on one model: the joint EM loop with only a cross model."""
-    params, gamma, history = _joint_em({"c": be}, groups, config, False)
+    params, gamma, history, _ = _joint_em({"c": be}, groups, config, False)
     return params["c"], history, gamma
 
 

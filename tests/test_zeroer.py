@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.em import EMConfig
 from repro.core.variants import VARIANTS
-from repro.core.zeroer import _postprocess_one_to_one, featurize, run_zeroer
+from repro.core.zeroer import FeaturizedTask, _postprocess_one_to_one, featurize, run_zeroer
 from repro.eval import evaluate
 from tests.test_scaling import assert_matrices_equal_reference
 
@@ -71,13 +71,10 @@ def test_zeroer_constraint_requires_intra(spark, task_ds):
 
 def _without(task, view: str):
     """``task`` with the model of ``view`` ("cross", "left" or "right") left
-    without pairs, in its matrices and in its DataFrame view alike."""
+    without pairs, built from its matrices alone."""
     ids, X = task.matrices[view[0]]
-    return dataclasses.replace(
-        task,
-        matrices={**task.matrices, view[0]: (ids[:0], X[:0])},
-        **{view: getattr(task, view).limit(0)},
-    )
+    matrices = {**task.matrices, view[0]: (ids[:0], X[:0])}
+    return FeaturizedTask(task.ds, task.cols, task.groups, matrices)
 
 
 @pytest.mark.parametrize(
@@ -90,11 +87,74 @@ def test_zeroer_empty_model(spark, fz, task_fz, empty, transitivity):
     task = _without(task_fz, empty)
     res = run_zeroer(spark, task, transitivity=transitivity)
     if empty == "cross":
-        assert res.n_candidates == 0 and res.n_iterations == 0
+        assert res.n_candidates == 0 and res.n_iterations == 0 and res.stop == "empty"
         assert res.predictions.count() == 0 and res.posteriors.empty
     else:
         assert res.n_candidates == task_fz.cross.count()
         assert evaluate(res.predictions, fz.matches).f1 >= 0.9
+
+
+def test_zeroer_stop_reason(spark, task_fz):
+    """The result says why EM stopped: at the iteration cap after one
+    iteration, and by the likelihood threshold or a stable match set by
+    default."""
+    capped = run_zeroer(spark, task_fz, config=EMConfig(max_iter=1), transitivity="constraint")
+    assert capped.stop == "cap" and capped.n_iterations == 1
+    assert run_zeroer(spark, task_fz, transitivity="constraint").stop in ("tol", "stable")
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Route ``owner.name`` through a wrapper that appends to the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_featurize_and_run_create_one_frame(spark, monkeypatch, few_partitions, fz):
+    """featurize builds no DataFrame view, and run_zeroer reads none: the
+    only ``createDataFrame`` of Algorithm 2 is the predictions frame."""
+    from pyspark.sql import SparkSession
+
+    calls = _count_calls(monkeypatch, SparkSession, "createDataFrame")
+    task = featurize(spark, fz, include_intra=True)
+    assert not calls
+    run_zeroer(spark, task, transitivity="constraint")
+    assert len(calls) == 1
+
+
+def test_task_from_frames_equals_featurized(spark, task_fz):
+    """A task built from DataFrames (``cross=``, ``left=``, ``right=``)
+    collects them into matrices bit-identical to the featurized task's, and
+    keeps the frames as its views; ZeroER's posteriors are equal as bytes."""
+    frames = {"cross": task_fz.cross, "left": task_fz.left, "right": task_fz.right}
+    task = FeaturizedTask(ds=task_fz.ds, cols=task_fz.cols, groups=task_fz.groups, **frames)
+    assert set(task.matrices) == set(task_fz.matrices)
+    for m, (ids, X) in task_fz.matrices.items():
+        np.testing.assert_array_equal(task.matrices[m][0], ids, err_msg=m)
+        assert task.matrices[m][1].tobytes() == X.tobytes(), m
+    assert all(getattr(task, name) is df for name, df in frames.items())
+    got = run_zeroer(spark, task, transitivity="constraint").posteriors
+    want = run_zeroer(spark, task_fz, transitivity="constraint").posteriors
+    assert got["gamma"].to_numpy().tobytes() == want["gamma"].to_numpy().tobytes()
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_unpersist_builds_no_view(monkeypatch, task_fz):
+    """Releasing a task whose views were never read builds none of them."""
+    from pyspark.sql import SparkSession
+
+    task = FeaturizedTask(task_fz.ds, task_fz.cols, task_fz.groups, task_fz.matrices)
+    calls = _count_calls(monkeypatch, SparkSession, "createDataFrame")
+    task.unpersist()
+    assert not calls
+    assert task.cross is not None and len(calls) == 1
+    task.unpersist()
+    assert len(calls) == 1
 
 
 def test_zeroer_all_missing_attribute(spark, fz):
