@@ -1,17 +1,9 @@
 """Benchmark + regeneration of Table 1 (covariance vs correlation cosines)."""
-from repro.experiments import table1
 
 
-def test_table1(benchmark, spark, bench_scale):
-    result = {}
-
-    def run():
-        result["df"] = table1.run(spark, scale=bench_scale)
-        return result["df"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table1(table):
+    df = table(1)
     print("\n=== TABLE 1 (ours vs paper) ===")
-    print(result["df"].to_string(index=False))
-    df = result["df"]
+    print(df.to_string(index=False))
     # The paper's structural claim must hold on every dataset.
     assert (df["cosine(R_M,R_U)"] > df["cosine(S_M,S_U)"]).all()

@@ -1,15 +1,8 @@
 """Benchmark + regeneration of Table 2 (dataset characteristics)."""
-from repro.experiments import table2
 
 
-def test_table2(benchmark, spark, bench_scale):
-    result = {}
-
-    def run():
-        result["df"] = table2.run(spark, scale=bench_scale)
-        return result["df"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table2(table):
+    df = table(2)
     print("\n=== TABLE 2 (ours vs paper) ===")
-    print(result["df"].to_string(index=False))
-    assert list(result["df"]["dataset"]) == ["FZ", "DA", "DS", "AB", "AG"]
+    print(df.to_string(index=False))
+    assert list(df["dataset"]) == ["FZ", "DA", "DS", "AB", "AG"]

@@ -8,15 +8,8 @@ from repro.experiments import table3
 from repro.experiments.runner import UNSUPERVISED
 
 
-def test_table3(benchmark, spark, bench_scale):
-    result = {}
-
-    def run():
-        result["df"] = table3.run(spark, scale=bench_scale)
-        return result["df"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    df = result["df"]
+def test_table3(table):
+    df = table(3)
     wide = table3.pivot(df)
     print("\n=== TABLE 3 F1, ours (rows: datasets / average) ===")
     print(wide.to_string())

@@ -1,16 +1,8 @@
 """Benchmark + regeneration of Table 4 (labels needed to match ZeroER)."""
-from repro.experiments import table4
 
 
-def test_table4(benchmark, spark, table4_scale):
-    result = {}
-
-    def run():
-        result["df"] = table4.run(spark, scale=table4_scale)
-        return result["df"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    df = result["df"]
+def test_table4(table):
+    df = table(4)
     print("\n=== TABLE 4 (labels needed; * = never reaches ZeroER F1) ===")
     print(df.to_string(index=False))
     # Shape: every supervised/AL method needs > 0 labels on every dataset

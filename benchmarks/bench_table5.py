@@ -2,15 +2,8 @@
 from repro.experiments import table5
 
 
-def test_table5(benchmark, spark, bench_scale):
-    result = {}
-
-    def run():
-        result["df"] = table5.run(spark, scale=bench_scale)
-        return result["df"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    df = result["df"]
+def test_table5(table):
+    df = table(5)
     wide = table5.pivot(df)
     print("\n=== TABLE 5 F1, ours (rows: datasets / average) ===")
     print(wide.to_string())

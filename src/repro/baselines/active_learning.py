@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.ml.classification import RandomForestClassifier
 from pyspark.ml.feature import VectorAssembler
 from pyspark.ml.functions import vector_to_array
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.baselines.supervised import oversample_matches
+from repro.baselines.supervised import labeled_pairs, oversample_matches
 from repro.eval import PRF
 
 
@@ -46,11 +45,9 @@ def al_rf(
     seed: int = 0,
 ) -> ALResult:
     """Run the AL loop; returns F1 evaluated on the never-labeled pairs."""
-    t = truth.select("l_id", "r_id").withColumn("label", F.lit(1.0))
-    labeled_df = feat_df.join(t, ["l_id", "r_id"], "left").fillna({"label": 0.0})
     assembled = (
         VectorAssembler(inputCols=cols, outputCol="features")
-        .transform(labeled_df)
+        .transform(labeled_pairs(feat_df, truth))
         .select("l_id", "r_id", "label", "features")
         .cache()
     )

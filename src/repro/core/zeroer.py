@@ -78,30 +78,22 @@ class FeaturizedTask:
 
 
 def featurize(
-    spark: SparkSession,
-    ds: ERDataset,
-    *,
-    include_intra: bool = False,
-    min_overlap: int = 1,
-    max_df_frac: float = 0.05,
+    spark: SparkSession, ds: ERDataset, *, include_intra: bool = False
 ) -> FeaturizedTask:
     """Run blocking + feature generation + scaling for a dataset.
 
     Every model (cross, and with ``include_intra`` left and right) goes
-    through one model-tagged Spark program: :func:`block_models` builds all
-    models' candidate pairs with both records' ``ds.attributes`` (one join,
-    two shuffles), and one ``mapInPandas`` kernel pass over them is collected
-    in one ``toArrow()``. On the driver, each model's matrix is scaled by a
+    through one model-tagged Spark program: :func:`block_models`, at its
+    default stop-token cap and overlap, builds all models' candidate pairs
+    with both records' ``ds.attributes`` (one join, two shuffles), and one
+    ``mapInPandas`` kernel pass over them is collected in one ``toArrow()``. On the driver, each model's matrix is scaled by a
     :class:`Scaler` fitted on it. The task is those matrices: it builds no
     DataFrame until a view is read, and nothing is cached.
     """
     plan = feature_plan(ds.attributes, ds.attr_types)
     cols = feature_columns(plan)
     models = tuple(MODEL_SIDES) if include_intra else ("c",)
-    pairs = block_models(
-        ds.left, ds.right, ds.blocking_attr, models, ds.attributes,
-        max_df_frac=max_df_frac, min_overlap=min_overlap,
-    )
+    pairs = block_models(ds.left, ds.right, ds.blocking_attr, models, ds.attributes)
     table = compute_features(pairs, plan, ds.attr_types).toArrow()
     matrices = {
         m: (ids, Scaler.fit(X, cols).transform(X))

@@ -6,9 +6,9 @@ deterministic synthetic equivalents with the same schemas, size ratios,
 match counts and dirtiness profiles (see DESIGN.md, "Substitutions").
 """
 from repro.erdata.generators import (  # noqa: F401
+    CODES,
     ERDataset,
     abt_buy,
-    all_datasets,
     amazon_google,
     dataset_by_code,
     dblp_acm,

@@ -54,6 +54,11 @@ class ERDataset:
         """(#left tuples, #right tuples, #matches) — actual, not paper."""
         return (self.left.count(), self.right.count(), self.matches.count())
 
+    def unpersist(self) -> None:
+        """Release the cache the generator put on the three tables."""
+        for df in (self.left, self.right, self.matches):
+            df.unpersist()
+
 
 def _finish(
     spark: SparkSession,
@@ -82,8 +87,9 @@ def _finish(
     mp = pd.DataFrame(match_pairs, columns=["l_id", "r_id"]).astype("int64")
     # The sides and the matches are read again by `pairs_with_attrs`, PPJoin
     # and `evaluate` (on the matches); caching avoids re-running the Arrow
-    # conversion on every action. `block_models`' SQL statement does not read
-    # this cache: its plan scans the local tables.
+    # conversion on every action (`ERDataset.unpersist` releases it).
+    # `block_models`' SQL statement does not read this cache: its plan scans
+    # the local tables.
     return ERDataset(
         name=name,
         code=code,
@@ -500,11 +506,9 @@ _GENERATORS = {
 }
 
 
+CODES = tuple(_GENERATORS)  # the paper's dataset order
+
+
 def dataset_by_code(spark: SparkSession, code: str, *, scale: float = 1.0) -> ERDataset:
     """Build one dataset by its paper code (FZ/DA/DS/AB/AG)."""
     return _GENERATORS[code](spark, scale=scale)
-
-
-def all_datasets(spark: SparkSession, *, scale: float = 1.0) -> list[ERDataset]:
-    """All five datasets in paper order."""
-    return [dataset_by_code(spark, c, scale=scale) for c in _GENERATORS]

@@ -1,17 +1,23 @@
-"""Method registry shared by the Table 3/4/5 harnesses.
+"""The tables' driver and the method registry of Tables 3 and 4.
 
-Every method consumes the same :class:`repro.core.zeroer.FeaturizedTask`
-(same blocking, same Magellan-style features — the paper's protocol) except
-PP* (its own concatenated-token join) and DM (its own richer representation).
+:func:`run_tables` generates and featurizes each dataset once and hands the
+one :class:`repro.core.zeroer.FeaturizedTask` to every requested table. Every
+method consumes that task (same blocking, same Magellan-style features — the
+paper's protocol) except PP* (its own concatenated-token join) and DM (its
+own richer representation).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from importlib import import_module
 
+import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines import active_learning, deepmatcher_lite, ecm, gmm_naive, kmeans, ppjoin, supervised
-from repro.core.zeroer import FeaturizedTask, run_zeroer
+from repro.core.zeroer import FeaturizedTask, featurize, run_zeroer
+from repro.erdata.generators import CODES, dataset_by_code
 from repro.eval import PRF, evaluate
 
 UNSUPERVISED = ["ZeroER", "ECM", "KM-RL", "KM-SK", "GMM", "PP*"]
@@ -78,3 +84,40 @@ def run_method(
             ds.code, method, res.prf, {"n_labeled": res.n_labeled, "trajectory": res.trajectory}
         )
     raise ValueError(f"unknown method {method!r}")
+
+
+def run_tables(
+    spark: SparkSession,
+    tables: list[int],
+    *,
+    scale: float,
+    datasets: list[str] | None = None,
+    seed: int = 0,
+    timings: dict[int, list[dict]] | None = None,
+) -> dict[int, pd.DataFrame]:
+    """Paper tables ``tables`` (numbers 1–5) over ``datasets`` (default all
+    five): one frame per table of its ``experiments.table<N>.rows``, the
+    datasets in paper order.
+
+    Each dataset is generated and featurized (with the intra models) once,
+    and every table reads that one task; then the task's views and the
+    dataset's cached tables are released. With ``timings``, each table gets
+    one record per dataset under its number: ``dataset``, ``generate_s`` and
+    ``featurize_s`` (shared by the tables) and the table's own ``table_s``.
+    """
+    modules = {n: import_module(f"repro.experiments.table{n}") for n in tables}
+    rows: dict[int, list[dict]] = {n: [] for n in tables}
+    for code in [c for c in CODES if datasets is None or c in datasets]:
+        t0 = time.perf_counter()
+        ds = dataset_by_code(spark, code, scale=scale)
+        t1 = time.perf_counter()
+        task = featurize(spark, ds, include_intra=True)
+        shared = {"dataset": code, "generate_s": t1 - t0, "featurize_s": time.perf_counter() - t1}
+        for n in tables:
+            t = time.perf_counter()
+            rows[n] += modules[n].rows(spark, task, seed=seed)
+            if timings is not None:
+                timings.setdefault(n, []).append(shared | {"table_s": time.perf_counter() - t})
+        task.unpersist()
+        ds.unpersist()
+    return {n: pd.DataFrame(r) for n, r in rows.items()}

@@ -2,8 +2,9 @@
 
 The empirical justification for correlation sharing (§3.1): using ground
 truth, the M/U *covariance* matrices differ substantially while the M/U
-*correlation* matrices are nearly identical. We compute both from the
-candidate set's feature matrix, block-restricted to the feature groups.
+*correlation* matrices are nearly identical. We compute both from the cross
+candidate set's scaled feature matrix (``task.matrices["c"]``),
+block-restricted to the feature groups.
 """
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import gmm
-from repro.core.zeroer import FeaturizedTask, featurize
-from repro.erdata.generators import all_datasets
+from repro.core.zeroer import FeaturizedTask
 
 PAPER_TABLE1 = {
     "cosine(S_M,S_U)": {"FZ": 0.76, "DA": 0.69, "DS": 0.74, "AB": 0.92, "AG": 0.73},
@@ -41,19 +41,17 @@ def grouped_cosines(task: FeaturizedTask) -> tuple[float, float]:
     )
 
 
-def run(spark: SparkSession, *, scale: float = 1.0) -> pd.DataFrame:
-    """Compute Table 1 over all five datasets; paper values alongside."""
-    rows = []
-    for ds in all_datasets(spark, scale=scale):
-        task = featurize(spark, ds)
-        cos_s, cos_r = grouped_cosines(task)
-        rows.append(
-            {
-                "dataset": ds.code,
-                "cosine(S_M,S_U)": round(cos_s, 2),
-                "paper cosine(S_M,S_U)": PAPER_TABLE1["cosine(S_M,S_U)"][ds.code],
-                "cosine(R_M,R_U)": round(cos_r, 2),
-                "paper cosine(R_M,R_U)": PAPER_TABLE1["cosine(R_M,R_U)"][ds.code],
-            }
-        )
-    return pd.DataFrame(rows)
+def rows(spark: SparkSession, task: FeaturizedTask, *, seed: int = 0) -> list[dict]:
+    """Table 1's row for one dataset, paper values alongside. Only the cross
+    model's matrix is read; ``seed`` is unused (the cosines draw nothing)."""
+    code = task.ds.code
+    cos_s, cos_r = grouped_cosines(task)
+    return [
+        {
+            "dataset": code,
+            "cosine(S_M,S_U)": round(cos_s, 2),
+            "paper cosine(S_M,S_U)": PAPER_TABLE1["cosine(S_M,S_U)"][code],
+            "cosine(R_M,R_U)": round(cos_r, 2),
+            "paper cosine(R_M,R_U)": PAPER_TABLE1["cosine(R_M,R_U)"][code],
+        }
+    ]

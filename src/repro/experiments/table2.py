@@ -6,25 +6,23 @@ deliberate down-scaling of DA and DS).
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.erdata.generators import all_datasets
+from repro.core.zeroer import FeaturizedTask
 
 
-def run(spark: SparkSession, *, scale: float = 1.0) -> pd.DataFrame:
-    rows = []
-    for ds in all_datasets(spark, scale=scale):
-        nl, nr, nm = ds.counts()
-        rows.append(
-            {
-                "dataset": ds.code,
-                "tuples": f"{nl} - {nr}",
-                "paper tuples": ds.paper_stats["tuples"],
-                "matches": nm,
-                "paper matches": ds.paper_stats["matches"],
-                "attributes": len(ds.attributes),
-                "paper attributes": ds.paper_stats["attributes"],
-            }
-        )
-    return pd.DataFrame(rows)
+def rows(spark: SparkSession, task: FeaturizedTask, *, seed: int = 0) -> list[dict]:
+    """Table 2's row for ``task.ds``; ``seed`` is unused (counts draw nothing)."""
+    ds = task.ds
+    nl, nr, nm = ds.counts()
+    return [
+        {
+            "dataset": ds.code,
+            "tuples": f"{nl} - {nr}",
+            "paper tuples": ds.paper_stats["tuples"],
+            "matches": nm,
+            "paper matches": ds.paper_stats["matches"],
+            "attributes": len(ds.attributes),
+            "paper attributes": ds.paper_stats["attributes"],
+        }
+    ]

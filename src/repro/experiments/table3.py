@@ -1,16 +1,15 @@
 """Table 3 — F-score of all eleven methods on the five datasets.
 
-One featurization per dataset (shared blocking + features, the paper's
-protocol), then every method from the registry. Paper F1 values ride along
-for the EXPERIMENTS.md diff.
+Every method from the registry runs on the dataset's one featurization
+(shared blocking + features, the paper's protocol). Paper F1 values ride
+along for the EXPERIMENTS.md diff.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.zeroer import featurize
-from repro.erdata.generators import all_datasets
+from repro.core.zeroer import FeaturizedTask
 from repro.experiments.runner import ALL_METHODS, run_method
 
 PAPER_TABLE3 = {
@@ -28,35 +27,23 @@ PAPER_TABLE3 = {
 }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    methods: list[str] | None = None,
-    datasets: list[str] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """One row per (dataset, method) with measured and paper F1."""
-    methods = methods or ALL_METHODS
-    rows = []
-    for ds in all_datasets(spark, scale=scale):
-        if datasets and ds.code not in datasets:
-            continue
-        task = featurize(spark, ds, include_intra=True)
-        for m in methods:
-            res = run_method(spark, task, m, seed=seed)
-            rows.append(
-                {
-                    "dataset": ds.code,
-                    "method": m,
-                    "f1": round(res.f1, 3),
-                    "paper f1": PAPER_TABLE3[m][ds.code],
-                    "precision": round(res.precision, 3),
-                    "recall": round(res.recall, 3),
-                }
-            )
-        task.unpersist()
-    return pd.DataFrame(rows)
+def rows(spark: SparkSession, task: FeaturizedTask, *, seed: int = 0) -> list[dict]:
+    """One row per method on ``task`` with measured and paper F1."""
+    code = task.ds.code
+    out = []
+    for m in ALL_METHODS:
+        res = run_method(spark, task, m, seed=seed)
+        out.append(
+            {
+                "dataset": code,
+                "method": m,
+                "f1": round(res.f1, 3),
+                "paper f1": PAPER_TABLE3[m][code],
+                "precision": round(res.precision, 3),
+                "recall": round(res.recall, 3),
+            }
+        )
+    return out
 
 
 def pivot(df: pd.DataFrame) -> pd.DataFrame:

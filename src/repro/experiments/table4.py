@@ -7,12 +7,10 @@ paper's convention). AL-RF reads the answer off its query trajectory.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines import active_learning, deepmatcher_lite, supervised
-from repro.core.zeroer import featurize, run_zeroer
-from repro.erdata.generators import all_datasets
+from repro.core.zeroer import FeaturizedTask, run_zeroer
 from repro.eval import evaluate
 
 PAPER_TABLE4 = {
@@ -38,7 +36,7 @@ def _budget_grid(total: int, start: int = 100, factor: int = 4) -> list[int]:
 
 
 def labels_needed(
-    spark: SparkSession, task, target_f1: float, method: str, *, seed: int = 0
+    spark: SparkSession, task: FeaturizedTask, target_f1: float, method: str, *, seed: int = 0
 ) -> str:
     """First budget on the doubling grid reaching ``target_f1``, else 'N*'."""
     total = len(task.matrices["c"][0])
@@ -69,31 +67,18 @@ def labels_needed(
             feat.unpersist()
 
 
-def run(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    methods: list[str] | None = None,
-    datasets: list[str] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
-    methods = methods or METHODS
-    rows = []
-    for ds in all_datasets(spark, scale=scale):
-        if datasets and ds.code not in datasets:
-            continue
-        task = featurize(spark, ds, include_intra=True)
-        zres = run_zeroer(spark, task, transitivity="constraint")
-        target = evaluate(zres.predictions, ds.matches).f1
-        for m in methods:
-            rows.append(
-                {
-                    "dataset": ds.code,
-                    "method": m,
-                    "labels needed": labels_needed(spark, task, target, m, seed=seed),
-                    "paper labels": PAPER_TABLE4[m][ds.code],
-                    "zeroer f1 target": round(target, 3),
-                }
-            )
-        task.unpersist()
-    return pd.DataFrame(rows)
+def rows(spark: SparkSession, task: FeaturizedTask, *, seed: int = 0) -> list[dict]:
+    """One row per method: labels needed on ``task`` to reach its ZeroER F1."""
+    code = task.ds.code
+    zres = run_zeroer(spark, task, transitivity="constraint")
+    target = evaluate(zres.predictions, task.ds.matches).f1
+    return [
+        {
+            "dataset": code,
+            "method": m,
+            "labels needed": labels_needed(spark, task, target, m, seed=seed),
+            "paper labels": PAPER_TABLE4[m][code],
+            "zeroer f1 target": round(target, 3),
+        }
+        for m in METHODS
+    ]

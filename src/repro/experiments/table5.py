@@ -11,8 +11,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.variants import VARIANTS
-from repro.core.zeroer import featurize, run_zeroer
-from repro.erdata.generators import all_datasets
+from repro.core.zeroer import FeaturizedTask, run_zeroer
 from repro.eval import evaluate
 
 PAPER_TABLE5 = {
@@ -23,37 +22,25 @@ PAPER_TABLE5 = {
 }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    variants: list[str] | None = None,
-    datasets: list[str] | None = None,
-) -> pd.DataFrame:
-    names = variants or list(VARIANTS)
-    rows = []
-    for ds in all_datasets(spark, scale=scale):
-        if datasets and ds.code not in datasets:
-            continue
-        task = featurize(spark, ds, include_intra=True)
-        for name in names:
-            v = VARIANTS[name]
-            res = run_zeroer(
-                spark, task, config=v["config"], transitivity=v["transitivity"]
-            )
-            prf = evaluate(res.predictions, ds.matches)
-            rows.append(
-                {
-                    "dataset": ds.code,
-                    "variant": name,
-                    "f1": round(prf.f1, 3),
-                    "paper f1": PAPER_TABLE5[name][ds.code],
-                    "precision": round(prf.precision, 3),
-                    "recall": round(prf.recall, 3),
-                }
-            )
-        task.unpersist()
-    return pd.DataFrame(rows)
+def rows(spark: SparkSession, task: FeaturizedTask, *, seed: int = 0) -> list[dict]:
+    """One row per ZeroER variant on ``task`` with measured and paper F1;
+    ``seed`` is unused (EM starts from the deterministic ε init)."""
+    code = task.ds.code
+    out = []
+    for name, v in VARIANTS.items():
+        res = run_zeroer(spark, task, config=v["config"], transitivity=v["transitivity"])
+        prf = evaluate(res.predictions, task.ds.matches)
+        out.append(
+            {
+                "dataset": code,
+                "variant": name,
+                "f1": round(prf.f1, 3),
+                "paper f1": PAPER_TABLE5[name][code],
+                "precision": round(prf.precision, 3),
+                "recall": round(prf.recall, 3),
+            }
+        )
+    return out
 
 
 def pivot(df: pd.DataFrame) -> pd.DataFrame:

@@ -137,9 +137,9 @@ def test_product_matches_share_tokens(built, code):
     assert share / len(m) > 0.9
 
 
-def test_all_datasets_returns_paper_order(spark):
-    ds = gen.all_datasets(spark, scale=0.05)
-    assert [d.code for d in ds] == CODES
+def test_codes_in_paper_order(spark):
+    assert list(gen.CODES) == CODES
+    assert [gen.dataset_by_code(spark, c, scale=0.05).code for c in gen.CODES] == CODES
 
 
 def test_dataset_by_code_unknown_raises(spark):
